@@ -5,7 +5,8 @@
 
 Verbs: nf, mul, comm, dims, center, dual, nakayama, homogenize,
 dehomogenize, theta, mu, verify.  Exit status is 0 iff everything
-succeeded (for ``verify``: iff every check passed).
+succeeded (for ``verify``: iff every check passed), 1 on a named
+error or a failed check, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -17,20 +18,21 @@ import sys
 from .errors import WeylkitError
 from .expressions import parse, render
 from .generators import AlgebraKind
-from .pbw import basis_of_degree, centralizer_in_degree, commutator, multiply, normal_form
+from .pbw import basis_of_degree, centralizer_in_degree, normal_form
 from .quadratic import dual_presentation, relation_text, relations_of
-from .shriek import degree_dimensions, multiply as shriek_multiply, nakayama, reduce_expression
+from .shriek import degree_dimensions, nakayama, reduce_expression
 from .localization import (
     dehomogenize,
-    homogenize,
     make,
     mu,
     render_localized,
     theta,
+    theta_inverse,
 )
 from .verify import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
+    SUITE_MAX_N,
     SUITE_NAMES,
     bless_golden,
     compute_golden,
@@ -49,16 +51,27 @@ examples: "d1*x1 - x1*d1 - z^2", "3/2 * z * x2", "(x1+d1)^2"
 """
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=1, help="pair count (default 1)")
+    p.add_argument("--n", type=_positive_int, default=1, help="pair count (default 1)")
     p.add_argument(
         "--algebra",
+        type=AlgebraKind.from_string,
         default="B",
         help="target algebra: B, A, C, B! or C! (default B)",
     )
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sample-stream seed")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="sample count per check")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="sample count per check")
     p.add_argument("--bless", action="store_true", help="write golden files before running")
 
 
@@ -129,7 +142,7 @@ def _fmt(e, as_json: bool) -> str:
 
 
 def _run_verb(args) -> int:
-    kind = AlgebraKind.from_string(args.algebra)
+    kind = args.algebra
     out = sys.stdout
 
     if args.verb == "nf":
@@ -143,14 +156,9 @@ def _run_verb(args) -> int:
         eb = parse(args.expr[1], args.n, kind)
         if kind.is_shriek:
             a, b = reduce_expression(ea, kind), reduce_expression(eb, kind)
-            result = (
-                shriek_multiply(a, b)
-                if args.verb == "mul"
-                else shriek_multiply(a, b) - shriek_multiply(b, a)
-            )
         else:
             a, b = normal_form(ea, kind), normal_form(eb, kind)
-            result = multiply(a, b) if args.verb == "mul" else commutator(a, b)
+        result = a * b if args.verb == "mul" else a * b - b * a
         print(_fmt(result, args.json), file=out)
         return 0
 
@@ -225,8 +233,7 @@ def _run_verb(args) -> int:
 
     if args.verb == "homogenize":
         a = normal_form(parse(args.expr[0], args.n, AlgebraKind.A), AlgebraKind.A)
-        b, k = homogenize(a)
-        print(render_localized(make(b, k), "json" if args.json else "text"), file=out)
+        print(render_localized(theta_inverse(a), "json" if args.json else "text"), file=out)
         return 0
 
     if args.verb == "dehomogenize":
@@ -257,10 +264,8 @@ def _run_verb(args) -> int:
         names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
         reports = []
         for name in names:
-            from .verify import _SUITES
-
-            if args.suite == "all" and name in _SUITES:
-                capped = min(args.n, _SUITES[name][1])
+            if args.suite == "all":
+                capped = min(args.n, SUITE_MAX_N[name])
             else:
                 capped = args.n
             reports.append(run_suite(name, capped, args.seed, args.budget))

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, ParseError
-from .generators import AlgebraKind, FreeExpression, Generator
+from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<VAR>[xdXD][0-9]+|[zZ])|(?P<NAT>[0-9]+)|(?P<OP>[-+*^/()]))"
@@ -165,10 +165,6 @@ def parse(text: str, n: int, kind: AlgebraKind | str) -> FreeExpression:
 
 # -- rendering -----------------------------------------------------------------
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
     """Join (coefficient, monomial-text) pairs into canonical text."""
     if not parts:
@@ -178,11 +174,11 @@ def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
         sign = "-" if c < 0 else "+"
         mag = -c if c < 0 else c
         if mono == "1":
-            body = _coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_coeff_str(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if i == 0:
             pieces.append(body if sign == "+" else f"-{body}")
         else:
@@ -196,45 +192,19 @@ def render(e, format: str = "text") -> str:
     Accepts PBW elements and shriek elements; terms come out in canonical
     order, so distinct canonical elements always render differently.
     """
-    from .pbw import AlgebraElement
-    from .shriek import ShriekElement
-
     if format not in ("text", "json"):
         raise ValueError(f"unknown render format {format!r}")
-    if isinstance(e, AlgebraElement):
-        terms = e.terms()
-        if format == "text":
-            return _format_terms([(c, str(m)) for m, c in terms])
-        payload = {
-            "algebra": e.kind.value,
-            "n": e.n,
-            "terms": [
-                {
-                    "coeff": f"{c.numerator}/{c.denominator}",
-                    "z": m.zexp,
-                    "x": list(m.xexps),
-                    "d": list(m.dexps),
-                }
-                for m, c in terms
-            ],
-        }
-        return json.dumps(payload)
-    if isinstance(e, ShriekElement):
-        terms = e.terms()
-        if format == "text":
-            return _format_terms([(c, w.word_str(e.n)) for w, c in terms])
-        payload = {
-            "algebra": e.kind.value,
-            "n": e.n,
-            "terms": [
-                {
-                    "coeff": f"{c.numerator}/{c.denominator}",
-                    "z": w.zflag,
-                    "x": [1 if w.xmask >> i & 1 else 0 for i in range(e.n)],
-                    "d": [1 if w.dmask >> i & 1 else 0 for i in range(e.n)],
-                }
-                for w, c in terms
-            ],
-        }
-        return json.dumps(payload)
-    raise TypeError(f"cannot render {type(e).__name__}")
+    if not isinstance(e, SparseElement):
+        raise TypeError(f"cannot render {type(e).__name__}")
+    terms = e.terms()
+    if format == "text":
+        return _format_terms([(c, key.word_str(e.n)) for key, c in terms])
+    payload = {
+        "algebra": e.kind.value,
+        "n": e.n,
+        "terms": [
+            {"coeff": f"{c.numerator}/{c.denominator}", **key.json_fields(e.n)}
+            for key, c in terms
+        ],
+    }
+    return json.dumps(payload)

@@ -1,9 +1,10 @@
-"""Generators and algebra kinds.
+"""Generators, algebra kinds and the shared element core.
 
 The algebras handled by the kernel are all presented on the generators
 x_1..x_n, d_1..d_n and (except for the plain Weyl algebra) a central-degree
 candidate z.  A :class:`Generator` names one of them; an
-:class:`AlgebraKind` names the ambient algebra.
+:class:`AlgebraKind` names the ambient algebra.  :class:`SparseElement`
+is the arithmetic both element engines (PBW and shriek) share.
 """
 
 from __future__ import annotations
@@ -101,15 +102,6 @@ class Generator:
         return "z" if self.family == "z" else f"{self.family}{self.index}"
 
 
-def generator_of_rank(r: int, n: int) -> Generator:
-    """Inverse of :meth:`Generator.rank`."""
-    if r == 0:
-        return Generator.z()
-    if r <= n:
-        return Generator.x(r)
-    return Generator.d(r - n)
-
-
 Word = tuple[Generator, ...]
 
 
@@ -142,3 +134,115 @@ class FreeExpression:
             word = "*".join(str(g) for g in w) if w else "1"
             parts.append(f"{c}*{word}")
         return " + ".join(parts)
+
+
+class SparseElement:
+    """An immutable sparse map from basis keys to nonzero rationals.
+
+    The shared core of :class:`weylkit.pbw.AlgebraElement` (keys are PBW
+    monomials) and :class:`weylkit.shriek.ShriekElement` (keys are
+    square-free words).  Construction drops zero coefficients, so the
+    arithmetic below may leave zeros in the dicts it builds.  A subclass
+    supplies ``_check_keys``, ``_check_compatible`` and ``_times`` (its
+    module's ``multiply``); a key supplies ``degree`` and, given the pair
+    count, ``term_key``, ``word_str`` and ``json_fields``.  Two elements
+    are equal iff kind, n and the coefficient maps agree.
+    """
+
+    __slots__ = ("kind", "n", "coeffs")
+
+    def __init__(self, kind: AlgebraKind, n: int, coeffs: dict | None):
+        clean = {}
+        for key, c in (coeffs or {}).items():
+            # Fraction(c) of an exact Fraction is a slow copy; fractions are immutable
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c != 0:
+                clean[key] = c
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        self._check_keys(clean)
+        object.__setattr__(self, "coeffs", clean)
+
+    def _like(self, coeffs: dict):
+        """A new element of the same type, kind and n."""
+        out = object.__new__(type(self))
+        SparseElement.__init__(out, self.kind, self.n, coeffs)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def terms(self) -> list:
+        """Terms in canonical order (leading terms first)."""
+        return sorted(self.coeffs.items(), key=lambda kc: kc[0].term_key(self.n))
+
+    def is_homogeneous(self) -> bool:
+        return len({key.degree for key in self.coeffs}) <= 1
+
+    def __eq__(self, other) -> bool:
+        # kinds are disjoint between the engines, so equal kinds mean equal types
+        return (
+            isinstance(other, SparseElement)
+            and self.kind is other.kind
+            and self.n == other.n
+            and self.coeffs == other.coeffs
+        )
+
+    __hash__ = None
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, 0) + c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, c: Fraction | int):
+        c = Fraction(c)
+        return self._like({key: c * v for key, v in self.coeffs.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scaled(other)
+        return self._times(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scaled(other)
+        return NotImplemented
+
+    def _bilinear(self, other, basis_product):
+        """Bilinear extension of ``basis_product(u, v, kind, n)``.
+
+        ``basis_product`` returns the (key, coefficient) terms of the
+        product of two basis keys.
+        """
+        kind, n = self.kind, self.n
+        out = {}
+        for u, cu in self.coeffs.items():
+            for v, cv in other.coeffs.items():
+                c = cu * cv
+                for w, k in basis_product(u, v, kind, n):
+                    out[w] = out.get(w, 0) + c * k
+        return self._like(out)
+
+    def __str__(self) -> str:
+        from .expressions import render
+
+        return render(self, "text")
+
+    def __repr__(self) -> str:
+        return f"<{self.kind.value}(n={self.n}) {self}>"

@@ -103,13 +103,6 @@ def det(matrix: Matrix) -> Fraction:
     return result * sign
 
 
-def row_space_contains(rows: Matrix, vector: list[Fraction]) -> bool:
-    """Does ``vector`` lie in the row space of ``rows``?"""
-    if all(v == 0 for v in vector):
-        return True
-    return rank(rows) == rank(rows + [vector])
-
-
 def span_equal(rows_a: Matrix, rows_b: Matrix) -> bool:
     """Do two row lists span the same subspace?  Exact, by mutual rank checks."""
     ra = rank(rows_a)

@@ -127,11 +127,7 @@ def dehomogenize(b: AlgebraElement) -> AlgebraElement:
     out: dict[PBWMonomial, Fraction] = {}
     for m, c in b.coeffs.items():
         target = PBWMonomial(0, m.xexps, m.dexps)
-        s = out.get(target, Fraction(0)) + c
-        if s:
-            out[target] = s
-        else:
-            out.pop(target, None)
+        out[target] = out.get(target, 0) + c
     return AlgebraElement(AlgebraKind.A, b.n, out)
 
 
@@ -148,11 +144,7 @@ def kernel_witness(b: AlgebraElement) -> AlgebraElement | None:
     for m, c in b.coeffs.items():
         for t in range(m.zexp):
             target = PBWMonomial(t, m.xexps, m.dexps)
-            s = out.get(target, Fraction(0)) + c
-            if s:
-                out[target] = s
-            else:
-                out.pop(target, None)
+            out[target] = out.get(target, 0) + c
     return AlgebraElement(AlgebraKind.B, b.n, out)
 
 

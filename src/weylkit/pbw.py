@@ -45,7 +45,7 @@ from .errors import (
     NotDivisible,
     ZeroElement,
 )
-from .generators import AlgebraKind, FreeExpression, Generator
+from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
 from . import linalg
 
 Rational = Fraction | int
@@ -81,16 +81,13 @@ class PBWMonomial:
             tuple(-e for e in self.dexps),
         )
 
-    def term_key(self):
+    def term_key(self, n: int):
         # Term order inside an element: leading (highest-degree) terms
         # first, so x1*d1 + 1 rather than 1 + x1*d1; ties break as in
-        # sort_key.
-        return (
-            -self.degree,
-            self.zexp,
-            tuple(-e for e in self.xexps),
-            tuple(-e for e in self.dexps),
-        )
+        # sort_key.  The exponent tuples fix the pair count, so n (taken
+        # to match ShriekWord) is unused here and in the next two methods.
+        degree, *ties = self.sort_key()
+        return (-degree, *ties)
 
     def __str__(self) -> str:
         parts = []
@@ -106,39 +103,38 @@ class PBWMonomial:
                     parts.append(f"{fam}{i}^{e}")
         return "*".join(parts) if parts else "1"
 
+    def word_str(self, n: int) -> str:
+        return str(self)
+
+    def json_fields(self, n: int) -> dict:
+        return {"z": self.zexp, "x": list(self.xexps), "d": list(self.dexps)}
+
 
 def _unit_monomial(n: int) -> PBWMonomial:
     return PBWMonomial(0, (0,) * n, (0,) * n)
 
 
-class AlgebraElement:
+class AlgebraElement(SparseElement):
     """A canonical element: sparse map from PBW monomials to nonzero rationals.
 
-    Instances are immutable; all arithmetic returns fresh elements.  Two
-    elements are equal iff kind, n and the coefficient maps agree.
+    Immutable; the arithmetic and equality come from
+    :class:`weylkit.generators.SparseElement`.
     """
 
-    __slots__ = ("kind", "n", "coeffs")
+    __slots__ = ()
 
     def __init__(self, kind: AlgebraKind, n: int, coeffs: dict[PBWMonomial, Fraction] | None = None):
         if kind not in (AlgebraKind.A, AlgebraKind.B, AlgebraKind.C):
             raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
-        clean: dict[PBWMonomial, Fraction] = {}
-        for m, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c == 0:
-                continue
+        SparseElement.__init__(self, kind, n, coeffs)
+
+    def _check_keys(self, keys) -> None:
+        n, weyl = self.n, self.kind is AlgebraKind.A
+        for m in keys:
             if len(m.xexps) != n or len(m.dexps) != n:
                 raise KindMismatch(f"monomial {m} has wrong arity for n={n}")
-            if kind is AlgebraKind.A and m.zexp != 0:
+            if weyl and m.zexp != 0:
                 raise IllegalGenerator("z exponent in a Weyl-algebra element")
-            clean[m] = c
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
 
     # -- construction helpers ------------------------------------------------
 
@@ -168,32 +164,6 @@ class AlgebraElement:
             ze = 1
         return AlgebraElement(kind, n, {PBWMonomial(ze, tuple(xe), tuple(de)): Fraction(1)})
 
-    # -- basic queries -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def terms(self) -> list[tuple[PBWMonomial, Fraction]]:
-        """Terms in canonical order (leading terms first)."""
-        return sorted(self.coeffs.items(), key=lambda mc: mc[0].term_key())
-
-    def is_homogeneous(self) -> bool:
-        degs = {m.degree for m in self.coeffs}
-        return len(degs) <= 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.kind is other.kind
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_compatible(self, other: "AlgebraElement") -> None:
@@ -205,38 +175,8 @@ class AlgebraElement:
                 f"{other.kind.value}(n={other.n})"
             )
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return AlgebraElement(self.kind, self.n, out)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.kind, self.n, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scaled(self, c: Rational) -> "AlgebraElement":
-        c = Fraction(c)
-        if c == 0:
-            return AlgebraElement.zero(self.kind, self.n)
-        return AlgebraElement(self.kind, self.n, {m: c * v for m, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
+    def _times(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
@@ -245,14 +185,6 @@ class AlgebraElement:
         for _ in range(k):
             out = multiply(out, self)
         return out
-
-    def __str__(self) -> str:
-        from .expressions import render
-
-        return render(self, "text")
-
-    def __repr__(self) -> str:
-        return f"<{self.kind.value}(n={self.n}) {self}>"
 
 
 # -- the rewriting kernel ----------------------------------------------------
@@ -297,6 +229,8 @@ def _reduce_rank_words(
 ) -> dict[PBWMonomial, Fraction]:
     """Rewrite coefficient-carrying rank words to the canonical monomial map.
 
+    The map may hold zero coefficients; the element constructor drops them.
+
     Terminates for any redex order: each step strictly decreases the pair
     (d-before-x inversions, other misordered pairs) of every produced word.
     """
@@ -313,11 +247,7 @@ def _reduce_rank_words(
             pos = rng.choice(redexes) if redexes else None
         if pos is None:
             m = _ranks_to_monomial(ranks, n)
-            s = out.get(m, Fraction(0)) + coeff
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + coeff
             continue
         a, b = ranks[pos], ranks[pos + 1]
         swapped = ranks[:pos] + (b, a) + ranks[pos + 2 :]
@@ -362,20 +292,10 @@ def word_normal_form(
 # -- closed-form multiplication ---------------------------------------------
 
 def _mul_monomials(m1: PBWMonomial, m2: PBWMonomial, kind: AlgebraKind, n: int) -> list[tuple[PBWMonomial, int]]:
-    if kind is AlgebraKind.C:
-        return [
-            (
-                PBWMonomial(
-                    m1.zexp + m2.zexp,
-                    tuple(a + b for a, b in zip(m1.xexps, m2.xexps)),
-                    tuple(a + b for a, b in zip(m1.dexps, m2.dexps)),
-                ),
-                1,
-            )
-        ]
     q1 = m1.dexps
     p2 = m2.xexps
-    cross = [i for i in range(n) if q1[i] and p2[i]]
+    # kind C commutes everything, so no d_i x_i pair needs an exchange
+    cross = [] if kind is AlgebraKind.C else [i for i in range(n) if q1[i] and p2[i]]
     base_z = m1.zexp + m2.zexp
     if not cross:
         return [
@@ -412,17 +332,7 @@ def _mul_monomials(m1: PBWMonomial, m2: PBWMonomial, kind: AlgebraKind, n: int) 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Canonical product.  Bilinear and associative; unit is ``one``."""
     a._check_compatible(b)
-    out: dict[PBWMonomial, Fraction] = {}
-    for m1, c1 in a.coeffs.items():
-        for m2, c2 in b.coeffs.items():
-            c = c1 * c2
-            for m, k in _mul_monomials(m1, m2, a.kind, a.n):
-                s = out.get(m, Fraction(0)) + c * k
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-    return AlgebraElement(a.kind, a.n, out)
+    return a._bilinear(b, _mul_monomials)
 
 
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -54,17 +54,6 @@ class QuadraticPresentation:
     def ngens(self) -> int:
         return len(self.generators)
 
-    def relation_rows(self) -> list[list[Fraction]]:
-        """Relations as dense coefficient rows over the (u,v) grid."""
-        g = self.ngens
-        rows = []
-        for rel in self.relations:
-            row = [Fraction(0)] * (g * g)
-            for (u, v), c in rel.items():
-                row[u * g + v] = c
-            rows.append(row)
-        return rows
-
 
 @dataclass(frozen=True)
 class DualRelationBasis:
@@ -131,16 +120,21 @@ def pairing(r: Relation, s: Relation) -> Fraction:
     return total
 
 
-def _pairing_rows(p: QuadraticPresentation) -> list[list[Fraction]]:
-    # row such that row . flat(s) = pairing(rel, s)
-    g = p.ngens
+def _relation_rows(rels: list[Relation] | tuple[Relation, ...], g: int) -> list[list[Fraction]]:
+    """Relations as dense coefficient rows over the (u,v) grid."""
     rows = []
-    for rel in p.relations:
+    for rel in rels:
         row = [Fraction(0)] * (g * g)
         for (u, v), c in rel.items():
-            row[v * g + u] = c
+            row[u * g + v] = c
         rows.append(row)
     return rows
+
+
+def _pairing_rows(p: QuadraticPresentation) -> list[list[Fraction]]:
+    # row such that row . flat(s) = pairing(rel, s): the transposed relation
+    transposed = [{(v, u): c for (u, v), c in rel.items()} for rel in p.relations]
+    return _relation_rows(transposed, p.ngens)
 
 
 def orthogonal_complement(p: QuadraticPresentation) -> DualRelationBasis:
@@ -161,16 +155,6 @@ def orthogonal_complement(p: QuadraticPresentation) -> DualRelationBasis:
                 rel[(idx // g, idx % g)] = c
         basis.append(rel)
     return DualRelationBasis(g, tuple(basis))
-
-
-def _relation_rows(rels: list[Relation] | tuple[Relation, ...], g: int) -> list[list[Fraction]]:
-    rows = []
-    for rel in rels:
-        row = [Fraction(0)] * (g * g)
-        for (u, v), c in rel.items():
-            row[u * g + v] = c
-        rows.append(row)
-    return rows
 
 
 def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:

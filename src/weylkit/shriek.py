@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import KindMismatch, SingularGram, SizeMismatch
-from .generators import AlgebraKind, FreeExpression, Generator
+from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
 
 Rational = Fraction | int
 
@@ -89,6 +89,13 @@ class ShriekWord:
             return "1"
         return "*".join(str(rank_generator(r, n)) for r in ranks)
 
+    def json_fields(self, n: int) -> dict:
+        return {
+            "z": self.zflag,
+            "x": [1 if self.xmask >> i & 1 else 0 for i in range(n)],
+            "d": [1 if self.dmask >> i & 1 else 0 for i in range(n)],
+        }
+
 
 def _ranks_to_word(ranks: Iterable[int], n: int) -> ShriekWord:
     xm = dm = zf = 0
@@ -102,29 +109,25 @@ def _ranks_to_word(ranks: Iterable[int], n: int) -> ShriekWord:
     return ShriekWord(xm, dm, zf)
 
 
-class ShriekElement:
-    """Sparse rational combination of shriek basis words; immutable."""
+class ShriekElement(SparseElement):
+    """Sparse rational combination of shriek basis words; immutable.
 
-    __slots__ = ("kind", "n", "coeffs")
+    The arithmetic and equality come from
+    :class:`weylkit.generators.SparseElement`.
+    """
+
+    __slots__ = ()
 
     def __init__(self, n: int, coeffs: dict[ShriekWord, Fraction] | None = None,
                  kind: AlgebraKind = AlgebraKind.B_SHRIEK):
         if kind not in (AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK):
             raise KindMismatch(f"shriek engine handles kinds B! and C!, got {kind.value}")
-        clean: dict[ShriekWord, Fraction] = {}
-        for w, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if w.xmask >> n or w.dmask >> n:
-                raise SizeMismatch(f"word {w} does not fit n={n}")
-            clean[w] = c
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", clean)
+        SparseElement.__init__(self, kind, n, coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ShriekElement is immutable")
+    def _check_keys(self, keys) -> None:
+        for w in keys:
+            if w.xmask >> self.n or w.dmask >> self.n:
+                raise SizeMismatch(f"word {w} does not fit n={self.n}")
 
     @staticmethod
     def zero(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
@@ -144,15 +147,6 @@ class ShriekElement:
         g.check(n, kind)
         return ShriekElement.word(n, _ranks_to_word([_shriek_rank(g, n)], n), 1, kind)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def terms(self) -> list[tuple[ShriekWord, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda wc: wc[0].term_key(self.n))
-
-    def is_homogeneous(self) -> bool:
-        return len({w.degree for w in self.coeffs}) <= 1
-
     def degrees(self) -> set[int]:
         return {w.degree for w in self.coeffs}
 
@@ -164,59 +158,8 @@ class ShriekElement:
         if self.kind is not other.kind:
             raise KindMismatch(f"cannot mix {self.kind.value} with {other.kind.value}")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ShriekElement)
-            and self.kind is other.kind
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "ShriekElement") -> "ShriekElement":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return ShriekElement(self.n, out, self.kind)
-
-    def __neg__(self) -> "ShriekElement":
-        return ShriekElement(self.n, {w: -c for w, c in self.coeffs.items()}, self.kind)
-
-    def __sub__(self, other: "ShriekElement") -> "ShriekElement":
-        return self + (-other)
-
-    def scaled(self, c: Rational) -> "ShriekElement":
-        c = Fraction(c)
-        if c == 0:
-            return ShriekElement.zero(self.n, self.kind)
-        return ShriekElement(self.n, {w: c * v for w, v in self.coeffs.items()}, self.kind)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
+    def _times(self, other: "ShriekElement") -> "ShriekElement":
         return multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __str__(self) -> str:
-        from .expressions import render
-
-        return render(self, "text")
-
-    def __repr__(self) -> str:
-        return f"<{self.kind.value}(n={self.n}) {self}>"
 
 
 # -- basis enumeration ---------------------------------------------------------
@@ -252,6 +195,7 @@ def _reduce_rank_words(
     kind: AlgebraKind,
     rng: random.Random | None = None,
 ) -> dict[ShriekWord, Fraction]:
+    # the map may hold zero coefficients; callers drop them
     z_rank = 2 * n
     out: dict[ShriekWord, Fraction] = {}
     pending = dict(terms)
@@ -262,11 +206,7 @@ def _reduce_rank_words(
         redexes = [i for i in range(len(ranks) - 1) if ranks[i] >= ranks[i + 1]]
         if not redexes:
             w = _ranks_to_word(ranks, n)
-            s = out.get(w, Fraction(0)) + coeff
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            out[w] = out.get(w, 0) + coeff
             continue
         pos = redexes[0] if rng is None else rng.choice(redexes)
         a, b = ranks[pos], ranks[pos + 1]
@@ -320,12 +260,13 @@ def reduce_expression(
 _WORD_PRODUCTS: dict[tuple[AlgebraKind, int, ShriekWord, ShriekWord], tuple[tuple[ShriekWord, Fraction], ...]] = {}
 
 
-def _word_product(u: ShriekWord, v: ShriekWord, n: int, kind: AlgebraKind):
+def _word_product(u: ShriekWord, v: ShriekWord, kind: AlgebraKind, n: int):
     key = (kind, n, u, v)
     hit = _WORD_PRODUCTS.get(key)
     if hit is None:
         ranks = u.ranks(n) + v.ranks(n)
-        hit = tuple(_reduce_rank_words({ranks: Fraction(1)}, n, kind).items())
+        reduced = _reduce_rank_words({ranks: Fraction(1)}, n, kind)
+        hit = tuple((w, c) for w, c in reduced.items() if c)
         _WORD_PRODUCTS[key] = hit
     return hit
 
@@ -333,17 +274,7 @@ def _word_product(u: ShriekWord, v: ShriekWord, n: int, kind: AlgebraKind):
 def multiply(a: ShriekElement, b: ShriekElement) -> ShriekElement:
     """Bilinear extension of word concatenation followed by reduction."""
     a._check_compatible(b)
-    out: dict[ShriekWord, Fraction] = {}
-    for u, cu in a.coeffs.items():
-        for v, cv in b.coeffs.items():
-            c = cu * cv
-            for w, k in _word_product(u, v, a.n, a.kind):
-                s = out.get(w, Fraction(0)) + c * k
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-    return ShriekElement(a.n, out, a.kind)
+    return a._bilinear(b, _word_product)
 
 
 # -- the direct-sum decomposition ----------------------------------------------

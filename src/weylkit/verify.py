@@ -48,14 +48,17 @@ from .quadratic import (
     relations_of,
 )
 from .shriek import (
+    NakayamaMap,
     ShriekElement,
     apply_automorphism,
     bilinear_form,
     decompose,
     degree_dimensions,
     gram_matrix,
+    multiply as smul,
     nakayama,
     reduce_expression,
+    reduce_word as sreduce,
     shriek_basis,
     shriek_basis_of_degree,
     top_word,
@@ -472,8 +475,6 @@ def _suite_shriek_dims(rec: _Recorder, n: int, rng: random.Random, budget: int) 
     if n <= 2:
         # the quantum-PBW statement at desk scale: word reduction is
         # confluent, so the square-free words really are a basis
-        from .shriek import multiply as smul, reduce_word as sreduce
-
         def reduction_confluence():
             pool = [Generator.x(i) for i in range(1, n + 1)]
             pool += [Generator.d(i) for i in range(1, n + 1)]
@@ -506,8 +507,6 @@ def _suite_shriek_dims(rec: _Recorder, n: int, rng: random.Random, budget: int) 
 
 
 def _suite_frobenius(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
-    from .shriek import multiply as smul
-
     def gram_invertible():
         for j in range(0, 2 * n + 2):
             if linalg.det(gram_matrix(n, j)) == 0:
@@ -545,16 +544,13 @@ def _suite_frobenius(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
 def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
     nm = nakayama(n)
     words = shriek_basis(n)
-    from .shriek import multiply as smul
 
     def defining_identity():
-        for wa in words:
-            for wb in words:
-                a = ShriekElement.word(n, wa)
-                b = ShriekElement.word(n, wb)
-                if bilinear_form(apply_automorphism(nm, a), b) != bilinear_form(b, a):
-                    return f"y = {a}; x = {b}"
-        return None
+        failure = _defining_identity_failure(nm)
+        if failure is None:
+            return None
+        y, x = failure
+        return f"y = {y}; x = {x}"
 
     rec.check("defining-identity", "beta(sigma(y), x) = beta(x, y)", defining_identity)
 
@@ -617,7 +613,6 @@ def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
 
 def _suite_decomposition(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
     words = shriek_basis(n)
-    from .shriek import multiply as smul
 
     def parts_sum():
         for w in words:
@@ -911,6 +906,9 @@ _SUITES: dict[str, tuple[Callable[[_Recorder, int, random.Random, int], None], i
 
 SUITE_NAMES = tuple(_SUITES)
 
+# the largest pair count each suite accepts; ``verify all`` caps --n at these
+SUITE_MAX_N = {name: max_n for name, (_, max_n) in _SUITES.items()}
+
 
 def run_suite(name: str, n: int, seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET) -> SuiteReport:
     """Run one named suite for every pair count 1..n, deterministically.
@@ -920,7 +918,8 @@ def run_suite(name: str, n: int, seed: int = DEFAULT_SEED, budget: int = DEFAULT
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    fn, max_n = _SUITES[name]
+    fn = _SUITES[name][0]
+    max_n = SUITE_MAX_N[name]
     if n < 1 or n > max_n:
         raise UnsupportedN(f"suite {name} supports 1 <= n <= {max_n}, got {n}")
     if budget < 1:
@@ -947,6 +946,18 @@ def golden_path(n: int) -> Path:
     return golden_dir() / f"shriek_n{n}.json"
 
 
+def _defining_identity_failure(nm: NakayamaMap) -> tuple[ShriekElement, ShriekElement] | None:
+    """The first basis pair (y, x) with beta(sigma(y), x) != beta(x, y), or None."""
+    words = shriek_basis(nm.n)
+    for wa in words:
+        for wb in words:
+            a = ShriekElement.word(nm.n, wa)
+            b = ShriekElement.word(nm.n, wb)
+            if bilinear_form(apply_automorphism(nm, a), b) != bilinear_form(b, a):
+                return a, b
+    return None
+
+
 def compute_golden(n: int) -> dict:
     """Golden data for one n: dims, Gram determinants, Nakayama images, scalar.
 
@@ -955,13 +966,10 @@ def compute_golden(n: int) -> dict:
     being reported, so a blessed file is itself verified oracle output.
     """
     nm = nakayama(n)
-    words = shriek_basis(n)
-    for wa in words:
-        for wb in words:
-            a = ShriekElement.word(n, wa)
-            b = ShriekElement.word(n, wb)
-            if bilinear_form(apply_automorphism(nm, a), b) != bilinear_form(b, a):
-                raise AssertionError(f"defining identity fails at ({a}, {b}); refusing to bless")
+    failure = _defining_identity_failure(nm)
+    if failure is not None:
+        y, x = failure
+        raise AssertionError(f"defining identity fails at ({y}, {x}); refusing to bless")
     dets = [linalg.det(gram_matrix(n, j)) for j in range(2 * n + 2)]
     return {
         "n": n,

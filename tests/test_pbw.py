@@ -14,6 +14,7 @@ from weylkit import (
     KindMismatch,
     NotDivisible,
     PBWMonomial,
+    ShriekElement,
     ZeroElement,
     basis_of_degree,
     centralizer_in_degree,
@@ -29,6 +30,7 @@ from weylkit import (
     z_divides,
     z_shift,
 )
+from weylkit.shriek import multiply as shriek_multiply
 from weylkit.verify import random_element, random_word
 
 A, B, C = AlgebraKind.A, AlgebraKind.B, AlgebraKind.C
@@ -122,6 +124,25 @@ def test_add_scale():
     assert x1.scaled(0).is_zero()
     e = nf("x1*d1", 1, B) + nf("z^2", 1, B)
     assert str(e) == "x1*d1 + z^2"
+
+
+@pytest.mark.parametrize("engine", ["pbw", "shriek"])
+def test_element_core_immutable_and_drops_zeros(engine):
+    # both engines share one element core; x1 * x1 = 0 in B!, and the
+    # commutator of x1 with itself cancels term by term in B
+    if engine == "pbw":
+        x1, zero = gen_el(B, 1, Generator.x(1)), AlgebraElement.zero(B, 1)
+        cancelled = commutator(x1, x1)
+    else:
+        x1, zero = ShriekElement.generator(1, Generator.x(1)), ShriekElement.zero(1)
+        cancelled = shriek_multiply(x1, x1)
+    with pytest.raises(AttributeError):
+        x1.n = 2
+    with pytest.raises(AttributeError):
+        x1.coeffs = {}
+    for e in (x1 - x1, x1.scaled(0), cancelled):
+        assert e.coeffs == {}
+        assert e == zero
 
 
 def test_commutator_examples():

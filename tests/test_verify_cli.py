@@ -249,9 +249,18 @@ def test_cli_index_error(capsys):
     assert "index" in err
 
 
-def test_cli_usage_error_exit_code(capsys):
-    assert cli_main(["frobnicate"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate"],
+        ["nf", "--algebra", "Q", "x1"],
+        ["verify", "center", "--budget", "0"],
+        ["dims", "--n", "-1"],
+    ],
+)
+def test_cli_usage_error_exit_code(capsys, argv):
+    assert cli_main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_text_output_deterministic(capsys):
