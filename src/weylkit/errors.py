@@ -19,6 +19,10 @@ class ParseError(WeylkitError):
         )
 
 
+class ExpressionTooLarge(WeylkitError):
+    """An expression would expand to more free words than the parser builds."""
+
+
 class IndexOutOfRange(WeylkitError):
     """Variable index exceeds the pair count n."""
 

@@ -1,17 +1,11 @@
 """Text and JSON frontend for algebra elements.
 
-Grammar (EBNF)::
-
-    expr     := term (('+'|'-') term)*
-    term     := factor ('*' factor)* | '-' term
-    factor   := atom ('^' NAT)?
-    atom     := VAR | RATIONAL | '(' expr ')'
-    VAR      := /[xd][0-9]+/ | /z/
-    RATIONAL := NAT ('/' NAT)?
-
-Multiplication is always explicit (``x1*d1``), exponents are nonnegative
-integers, rationals are written ``p/q``, and unary minus binds looser
-than ``*``.  Tokens are case-insensitive and ASCII-only.
+``GRAMMAR`` is the input grammar (EBNF).  Multiplication is always
+explicit (``x1*d1``), exponents are nonnegative integers, rationals are
+written ``p/q``, and unary minus binds looser than ``*``.  Tokens are
+case-insensitive and ASCII-only.  Parentheses nest at most
+``_MAX_DEPTH`` deep, and no product may expand to more than
+``_MAX_FREE_SIZE`` letters of free words.
 """
 
 from __future__ import annotations
@@ -20,8 +14,25 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, ParseError
+from .errors import ExpressionTooLarge, IndexOutOfRange, ParseError
 from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
+
+GRAMMAR = """\
+expr     := term (('+'|'-') term)*
+term     := factor ('*' factor)* | '-' term
+factor   := atom ('^' NAT)?
+atom     := VAR | RATIONAL | '(' expr ')'
+VAR      := x<i> | d<i> | z        (case-insensitive, 1 <= i <= n)
+RATIONAL := NAT ('/' NAT)?
+"""
+
+# Each level of parentheses costs four stack frames (expr, term, factor, atom).
+_MAX_DEPTH = 100
+
+# Letters in the free expansion of one product: terms times the longest
+# word, where a bare coefficient counts as one letter.  The largest input
+# the tests, demos and benchmark use, (x1+d1+z)^8, is 6561 words of length 8.
+_MAX_FREE_SIZE = 100_000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<VAR>[xdXD][0-9]+|[zZ])|(?P<NAT>[0-9]+)|(?P<OP>[-+*^/()]))"
@@ -41,6 +52,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if not stripped:
                 break
             where = len(text) - len(stripped)
+            if text[where] in "xdXD":
+                # a variable letter without an ASCII index: blame what follows it
+                where += 1
+                raise ParseError(where, {"index digit"}, text[where] if where < len(text) else None)
             raise ParseError(where, {"variable", "number", "operator"}, text[where])
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
@@ -48,11 +63,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _times(a: _Terms, b: _Terms) -> _Terms:
+    """The product of two sums of words, in lexicographic order of the factors."""
+    return [(c1 * c2, w1 + w2) for c1, w1 in a for c2, w2 in b]
+
+
+def _width(terms: _Terms) -> int:
+    """The longest word, counting a bare coefficient as one letter."""
+    return max(max(len(w) for _, w in terms), 1)
+
+
 class _Parser:
     def __init__(self, text: str, n: int, kind: AlgebraKind):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.n = n
         self.kind = kind
 
@@ -72,6 +98,9 @@ class _Parser:
             return tok[1]
         return None
 
+    def too_large(self, at: int):
+        raise ExpressionTooLarge(f"the product at position {at} expands to more than {_MAX_FREE_SIZE} letters")
+
     def parse(self) -> _Terms:
         terms = self.expr()
         if self.peek() is not None:
@@ -90,25 +119,36 @@ class _Parser:
             terms = terms + rhs
 
     def term(self) -> _Terms:
-        if self.eat_op("-"):
-            return [(-c, w) for c, w in self.term()]
+        negate = False
+        while self.eat_op("-"):  # a loop, not recursion: "- - ... x1" may be long
+            negate = not negate
         terms = self.factor()
         while self.eat_op("*"):
+            at = self.tokens[self.pos - 1][2]
             rhs = self.factor()
-            terms = [(c1 * c2, w1 + w2) for c1, w1 in terms for c2, w2 in rhs]
-        return terms
+            if len(terms) * len(rhs) * (_width(terms) + _width(rhs)) > _MAX_FREE_SIZE:
+                self.too_large(at)
+            terms = _times(terms, rhs)
+        return [(-c, w) for c, w in terms] if negate else terms
 
     def factor(self) -> _Terms:
         base = self.atom()
         if self.eat_op("^"):
+            at = self.tokens[self.pos - 1][2]
             tok = self.peek()
             if tok is None or tok[0] != "NAT":
                 self.fail({"nonnegative integer exponent"})
             self.pos += 1
             e = int(tok[1])
+            length = e * _width(base)
+            # once the length alone is too large, len(base) ** e is never formed
+            if length > _MAX_FREE_SIZE or len(base) ** e * length > _MAX_FREE_SIZE:
+                self.too_large(at)
             out: _Terms = [(Fraction(1), ())]
-            for _ in range(e):
-                out = [(c1 * c2, w1 + w2) for c1, w1 in out for c2, w2 in base]
+            for bit in bin(e)[2:]:  # square and multiply: linear, not quadratic, in e
+                out = _times(out, out)
+                if bit == "1":
+                    out = _times(out, base)
             return out
         return base
 
@@ -140,10 +180,14 @@ class _Parser:
                 return [(Fraction(num, int(den_tok[1])), ())]
             return [(Fraction(num), ())]
         if value == "(":
+            if self.depth == _MAX_DEPTH:
+                self.fail({f"at most {_MAX_DEPTH} nested '('"})
             self.pos += 1
+            self.depth += 1
             inner = self.expr()
             if not self.eat_op(")"):
                 self.fail({"')'"})
+            self.depth -= 1
             return inner
         self.fail({"variable", "number", "'('"})
 

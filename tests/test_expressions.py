@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 from weylkit import (
     AlgebraElement,
     AlgebraKind,
+    ExpressionTooLarge,
+    FreeExpression,
     Generator,
     IllegalGenerator,
     IndexOutOfRange,
     ParseError,
     PBWMonomial,
+    WeylkitError,
     normal_form,
     parse,
     render,
@@ -83,6 +86,37 @@ def test_syntax_error_carries_position_and_expected():
 def test_unknown_character_rejected():
     with pytest.raises(ParseError):
         parse("x1 & d1", 1, B)
+
+
+def test_non_ascii_digit_blamed_at_its_position():
+    with pytest.raises(ParseError) as err:
+        parse("x\uff11", 1, B)  # the index is a full-width digit one
+    assert err.value.position == 1
+    assert err.value.found == "\uff11"
+
+
+def test_nesting_depth_limit_names_the_opening_parenthesis():
+    assert parse("(" * 100 + "x1" + ")" * 100, 1, B).terms == ((Fraction(1), (x1,)),)
+    with pytest.raises(ParseError) as err:
+        parse("x1 + " + "(" * 101 + "x1" + ")" * 101, 1, B)
+    assert err.value.position == 105 and err.value.found == "("
+
+
+def test_expansion_size_limit():
+    parse("(x1+d1+z)^8", 1, B)  # 6561 words of length 8, the largest input in use
+    for text in ("(x1+d1+z)^12", "z^100001", "z^10000000", "(x1+d1)^9*(x1+d1)^9"):
+        with pytest.raises(ExpressionTooLarge):
+            parse(text, 1, B)
+
+
+@settings(deadline=None)
+@given(st.text(alphabet="xdzXD0123456789+-*^/() .\uff11\u2212\u00e9\u00b2", max_size=24))
+def test_parse_returns_or_raises_named_error(text):
+    try:
+        result = parse(text, 2, B)
+    except WeylkitError:
+        return
+    assert isinstance(result, FreeExpression)
 
 
 def test_dangling_operator_rejected():

@@ -256,11 +256,43 @@ def test_cli_index_error(capsys):
         ["nf", "--algebra", "Q", "x1"],
         ["verify", "center", "--budget", "0"],
         ["dims", "--n", "-1"],
+        ["nf", "--seed", "3", "x1"],
+        ["center", "--algebra", "A"],
+        ["dual", "--algebra", "C!"],
+        ["nakayama", "--bless"],
+        ["homogenize", "--algebra", "A", "x1"],
     ],
 )
 def test_cli_usage_error_exit_code(capsys, argv):
     assert cli_main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["center", "nakayama"])
+def test_cli_n_guard_fires_before_work(capsys, verb):
+    assert cli_main([verb, "--n", "4"]) == 1
+    assert capsys.readouterr().err == f"error: {verb} supports 1 <= n <= 3, got 4\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 300 + "x1" + ")" * 300,
+        "z^10000000",
+        "(x1+d1+z)^12",
+    ],
+    ids=["deep-nesting", "huge-exponent", "huge-expansion"],
+)
+def test_cli_refuses_bad_expression_cleanly(capsys, text):
+    assert cli_main(["nf", "--n", "1", "--", text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_long_unary_minus_chain(capsys):
+    assert cli_main(["nf", "--n", "1", "--", "-" * 3000 + "x1"]) == 0
+    assert capsys.readouterr().out == "x1\n"
 
 
 def test_cli_text_output_deterministic(capsys):
