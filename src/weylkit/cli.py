@@ -180,10 +180,11 @@ _VERBS = {
     "nf": _Verb(_nf, "normal form of an expression", 1, _ALL_KINDS),
     "mul": _Verb(_product, "product of two expressions", 2, _ALL_KINDS),
     "comm": _Verb(_product, "commutator of two expressions", 2, _ALL_KINDS),
-    "dims": _Verb(_dims, "graded dimensions", 0, _ALL_KINDS),
-    # center --n 3 takes about 4 s and nakayama --n 3 about 3 s; both grow fast with n
+    # process wall times at the caps: dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 3
+    # 3.6 s, dual --n 12 1.4 s, nakayama --n 3 1.1 s with --json; all grow fast with n
+    "dims": _Verb(_dims, "graded dimensions", 0, _ALL_KINDS, max_n=7),
     "center": _Verb(_center, "centralizer bases in degrees 0..5", max_n=3),
-    "dual": _Verb(_dual, "quadratic-dual presentation of B or C", 0, ("B", "C")),
+    "dual": _Verb(_dual, "quadratic-dual presentation of B or C", 0, ("B", "C"), max_n=12),
     "nakayama": _Verb(_nakayama, "Nakayama automorphism data", max_n=3),
     # the localization verbs read --algebra only as B, the algebra being localized
     "homogenize": _Verb(_homogenize, "minimal homogenization of a Weyl-algebra element", 1, ("B",)),
@@ -223,10 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first cli_main call
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     verb = _VERBS[args.verb]

@@ -20,7 +20,7 @@ class ParseError(WeylkitError):
 
 
 class ExpressionTooLarge(WeylkitError):
-    """An expression would expand to more free words than the parser builds."""
+    """An expression expands past the parser's bound, or a number has too many digits."""
 
 
 class IndexOutOfRange(WeylkitError):

@@ -5,13 +5,15 @@ explicit (``x1*d1``), exponents are nonnegative integers, rationals are
 written ``p/q``, and unary minus binds looser than ``*``.  Tokens are
 case-insensitive and ASCII-only.  Parentheses nest at most
 ``_MAX_DEPTH`` deep, and no product may expand to more than
-``_MAX_FREE_SIZE`` letters of free words.
+``_MAX_FREE_SIZE`` letters of free words.  Numbers read or printed have at
+most ``sys.get_int_max_str_digits()`` digits (else ExpressionTooLarge).
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ExpressionTooLarge, IndexOutOfRange, ParseError
@@ -45,6 +47,7 @@ _Terms = list[tuple[Fraction, tuple[Generator, ...]]]
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
@@ -58,7 +61,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 raise ParseError(where, {"index digit"}, text[where] if where < len(text) else None)
             raise ParseError(where, {"variable", "number", "operator"}, text[where])
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+        value = m.group(kind)
+        if limit and len(value) - (kind == "VAR") > limit:
+            raise ExpressionTooLarge(f"the number at position {m.start(kind)} has more than {limit} digits")
+        tokens.append((kind, value, m.start(kind)))
         pos = m.end()
     return tokens
 
@@ -209,7 +215,7 @@ def parse(text: str, n: int, kind: AlgebraKind | str) -> FreeExpression:
 
 # -- rendering -----------------------------------------------------------------
 
-def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
+def format_terms(parts: list[tuple[Fraction, str]]) -> str:
     """Join (coefficient, monomial-text) pairs into canonical text."""
     if not parts:
         return "0"
@@ -241,14 +247,16 @@ def render(e, format: str = "text") -> str:
     if not isinstance(e, SparseElement):
         raise TypeError(f"cannot render {type(e).__name__}")
     terms = e.terms()
-    if format == "text":
-        return _format_terms([(c, key.word_str(e.n)) for key, c in terms])
-    payload = {
-        "algebra": e.kind.value,
-        "n": e.n,
-        "terms": [
-            {"coeff": f"{c.numerator}/{c.denominator}", **key.json_fields(e.n)}
-            for key, c in terms
-        ],
-    }
-    return json.dumps(payload)
+    try:
+        if format == "text":
+            return format_terms([(c, key.word_str(e.n)) for key, c in terms])
+        return json.dumps({
+            "algebra": e.kind.value,
+            "n": e.n,
+            "terms": [
+                {"coeff": f"{c.numerator}/{c.denominator}", **key.json_fields(e.n)}
+                for key, c in terms
+            ],
+        })
+    except ValueError as exc:  # Python's limit on int-to-str conversion
+        raise ExpressionTooLarge(f"a coefficient has more than {sys.get_int_max_str_digits()} digits") from exc

@@ -1,7 +1,9 @@
 """Small exact linear algebra kit over the rationals.
 
-Everything here is plain Gaussian elimination on lists of
-:class:`fractions.Fraction`.  Matrices are lists of rows; rows are lists.
+Everything here is served by one Gauss-Jordan elimination loop on lists of
+:class:`fractions.Fraction`, ``_eliminate``: ``solve`` runs it once on the
+augmented system for all its right-hand sides, and ``det`` reads the
+signed product of its pivots.  Matrices are lists of rows; rows are lists.
 Sizes stay desk-scale (a few hundred columns at most), so no attempt is
 made at fraction-free pivoting or sparsity beyond skipping zero entries.
 """
@@ -16,14 +18,19 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def rref(rows: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def _eliminate(rows: Matrix, ncols: int) -> tuple[Matrix, list[int], Fraction]:
+    """Reduce the first ``ncols`` columns: (nonzero rows, pivot columns, P).
+
+    P is the product of the pivots as found, negated once per row swap:
+    the determinant when the input is square and of full rank.
+    """
     work = [list(r) for r in rows]
     pivots: list[int] = []
+    product = _ONE
     r = 0
     for c in range(ncols):
+        if r == len(work):
+            break
         pivot_row = None
         for i in range(r, len(work)):
             if work[i][c] != 0:
@@ -31,8 +38,12 @@ def rref(rows: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
                 break
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = _ONE / work[r][c]
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            product = -product
+        p = work[r][c]
+        product *= p
+        inv = _ONE / p
         work[r] = [v * inv for v in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
@@ -41,9 +52,14 @@ def rref(rows: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
                 work[i] = [a - f * b for a, b in zip(work[i], row_r)]
         pivots.append(c)
         r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    return work[:r], pivots, product
+
+
+def rref(rows: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    return _eliminate(rows, ncols)[:2]
 
 
 def rank(rows: Matrix) -> int:
@@ -51,7 +67,10 @@ def rank(rows: Matrix) -> int:
 
 
 def nullspace(rows: Matrix, ncols: int) -> Matrix:
-    """Basis of the right kernel {v : M v = 0}, one vector per free column."""
+    """Basis of the right kernel {v : M v = 0}, one vector per free column.
+
+    An empty system has the identity basis.
+    """
     reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -65,42 +84,26 @@ def nullspace(rows: Matrix, ncols: int) -> Matrix:
     return basis
 
 
-def solve(matrix: Matrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Unique solution of a square system; raises ValueError when singular."""
+def solve(matrix: Matrix, rhs: Matrix) -> Matrix:
+    """The unique X with ``matrix`` X = ``rhs``, one column per right-hand side.
+
+    ``matrix`` is square and ``rhs`` has as many rows; raises ValueError
+    when the matrix is singular.
+    """
     m = len(matrix)
-    if any(len(row) != m for row in matrix):
-        raise ValueError("matrix is not square")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    reduced, pivots = rref(aug, m)
+    if any(len(row) != m for row in matrix) or len(rhs) != m:
+        raise ValueError("matrix is not square or rhs has the wrong number of rows")
+    reduced, pivots, _ = _eliminate([list(row) + list(b) for row, b in zip(matrix, rhs)], m)
     if len(pivots) != m:
         raise ValueError("singular matrix")
-    return [reduced[i][m] for i in range(m)]
+    return [row[m:] for row in reduced]
 
 
 def det(matrix: Matrix) -> Fraction:
-    """Determinant by elimination without normalization."""
+    """Determinant: the signed product of the elimination pivots."""
     m = len(matrix)
-    work = [list(r) for r in matrix]
-    sign = 1
-    result = _ONE
-    for c in range(m):
-        pivot_row = None
-        for i in range(c, m):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            sign = -sign
-        p = work[c][c]
-        result *= p
-        for i in range(c + 1, m):
-            if work[i][c] != 0:
-                f = work[i][c] / p
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return result * sign
+    _, pivots, product = _eliminate(matrix, m)
+    return product if len(pivots) == m else _ZERO
 
 
 def span_equal(rows_a: Matrix, rows_b: Matrix) -> bool:

@@ -54,15 +54,8 @@ class LocalizedElement:
         """Graded degree, defined for homogeneous nonzero numerators."""
         return graded_degree(self.numerator) - self.zpow
 
-    def __eq__(self, other) -> bool:
-        # structural equality of canonical forms; loc_equals is the
-        # fraction equality (they agree on make() outputs)
-        return (
-            isinstance(other, LocalizedElement)
-            and self.numerator == other.numerator
-            and self.zpow == other.zpow
-        )
-
+    # the generated __eq__ is structural equality of canonical forms;
+    # loc_equals is the fraction equality (they agree on make() outputs)
     __hash__ = None
 
     def __add__(self, other: "LocalizedElement") -> "LocalizedElement":

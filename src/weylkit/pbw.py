@@ -411,7 +411,6 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
     one equation per generator and degree-(d+1) monomial.
     """
     basis = basis_of_degree(kind, n, d)
-    index = {m: j for j, m in enumerate(basis)}
     ncols = len(basis)
     rows: list[list[Fraction]] = []
     for g in _generator_elements(kind, n):
@@ -426,12 +425,8 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
                 if t in col:
                     row[j] = col[t]
             rows.append(row)
-    if not rows:
-        kernel = [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)] for i in range(ncols)]
-    else:
-        kernel = linalg.nullspace(rows, ncols)
     out = []
-    for vec in kernel:
+    for vec in linalg.nullspace(rows, ncols):
         coeffs = {basis[j]: v for j, v in enumerate(vec) if v}
         out.append(AlgebraElement(kind, n, coeffs))
     return out

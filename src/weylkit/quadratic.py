@@ -16,8 +16,11 @@ of the homogenized algebra comes out on the relations
 
 including the mixed anticommutators x_i d_j + d_j x_i.  The untwisted
 pairing would flip the sign of the z^2 term instead.  The structured
-presentation is never trusted: ``dual_presentation`` certifies it spans
-the computed complement and raises if it does not.
+presentation is never trusted: ``dual_presentation`` certifies that it
+spans the orthogonal complement and raises if it does not.  The pairing
+is nondegenerate, so that holds exactly when every structured relation
+pairs to zero with every primal relation and the structured relations
+have rank (2n+1)^2 minus the rank of the primal ones.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import RankDeficientInput
+from .expressions import format_terms
 from .generators import AlgebraKind
 
 # one relation: sparse map over ordered generator-index pairs
@@ -131,12 +135,6 @@ def _relation_rows(rels: list[Relation] | tuple[Relation, ...], g: int) -> list[
     return rows
 
 
-def _pairing_rows(p: QuadraticPresentation) -> list[list[Fraction]]:
-    # row such that row . flat(s) = pairing(rel, s): the transposed relation
-    transposed = [{(v, u): c for (u, v), c in rel.items()} for rel in p.relations]
-    return _relation_rows(transposed, p.ngens)
-
-
 def orthogonal_complement(p: QuadraticPresentation) -> DualRelationBasis:
     """Exact kernel basis of the pairing against ``p``'s relations.
 
@@ -144,11 +142,13 @@ def orthogonal_complement(p: QuadraticPresentation) -> DualRelationBasis:
     linearly dependent.
     """
     g = p.ngens
-    rows = _pairing_rows(p)
-    if linalg.rank(rows) != len(rows):
+    # row . flat(s) = pairing(rel, s) for the row of the transposed relation
+    rows = _relation_rows([{(v, u): c for (u, v), c in rel.items()} for rel in p.relations], g)
+    kernel = linalg.nullspace(rows, g * g)
+    if len(kernel) != g * g - len(rows):  # rank-nullity
         raise RankDeficientInput("relation list is linearly dependent")
     basis = []
-    for vec in linalg.nullspace(rows, g * g):
+    for vec in kernel:
         rel: Relation = {}
         for idx, c in enumerate(vec):
             if c:
@@ -164,7 +164,7 @@ def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     generator pair (including all mixed x_i d_j), and sum_i x_i d_i + z^2.
     For C(n): squares of all generators and all anticommutators (the
     exterior algebra on 2n+1 generators).  The returned set is certified
-    to span exactly the computed orthogonal complement.
+    to span exactly the orthogonal complement of the primal relations.
     """
     if kind not in (AlgebraKind.B, AlgebraKind.C):
         raise ValueError(f"dual presentations exist for kinds B and C, not {kind.value}")
@@ -201,30 +201,19 @@ def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
         loop[(z, z)] = Fraction(1)
         rels.append(loop)
     g = len(gens)
-    complement = orthogonal_complement(relations_of(kind, n))
-    if not linalg.span_equal(_relation_rows(rels, g), _relation_rows(complement.basis, g)):
+    primal = relations_of(kind, n).relations
+    orthogonal = all(pairing(r, s) == 0 for r in primal for s in rels)
+    primal_rank = linalg.rank(_relation_rows(primal, g))
+    if not orthogonal or linalg.rank(_relation_rows(rels, g)) != g * g - primal_rank:
         raise RuntimeError(
-            "structured dual presentation does not span the computed complement"
+            "structured dual presentation does not span the orthogonal complement"
         )
     return QuadraticPresentation(n, kind, gens, tuple(rels))
 
 
 def relation_text(rel: Relation, gens: tuple[str, ...]) -> str:
     """Human-readable form of one relation, e.g. ``d1*x1 - x1*d1 - z^2``."""
-
-    def mono(u: int, v: int) -> str:
-        if u == v:
-            return f"{gens[u]}^2"
-        return f"{gens[u]}*{gens[v]}"
-
-    items = sorted(rel.items())
-    parts = []
-    for i, ((u, v), c) in enumerate(items):
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        body = mono(u, v) if mag == 1 else f"{mag}*{mono(u, v)}"
-        if i == 0:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts) if parts else "0"
+    return format_terms([
+        (c, f"{gens[u]}^2" if u == v else f"{gens[u]}*{gens[v]}")
+        for (u, v), c in sorted(rel.items())
+    ])

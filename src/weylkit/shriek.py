@@ -234,10 +234,7 @@ def reduce_word(
     >>> str(reduce_word([Generator.z(), Generator.z()], 1))
     '-x1*d1'
     """
-    for g in word:
-        g.check(n, kind)
-    ranks = tuple(_shriek_rank(g, n) for g in word)
-    return ShriekElement(n, _reduce_rank_words({ranks: Fraction(1)}, n, kind, rng), kind)
+    return reduce_expression(FreeExpression.from_terms(n, [(Fraction(1), word)]), kind, rng)
 
 
 def reduce_expression(
@@ -355,21 +352,19 @@ def nakayama(n: int) -> NakayamaMap:
     """
     deg1 = shriek_basis_of_degree(n, 1)
     g1 = gram_matrix(n, 1)
-    g2n = gram_matrix(n, 2 * n)
     m = len(deg1)
     system = [[g1[i][k] for i in range(m)] for k in range(m)]  # transpose
+    # column jy of the right-hand side, and of the solution, belongs to deg1[jy]
+    try:
+        solution = linalg.solve(system, gram_matrix(n, 2 * n))
+    except ValueError as exc:
+        raise SingularGram(f"degree-1 Gram system is singular: {exc}") from exc
     images: dict[str, ShriekElement] = {}
-    coeff_rows: list[list[Fraction]] = []
     for jy, yword in enumerate(deg1):
-        rhs = [g2n[k][jy] for k in range(m)]
-        try:
-            c = linalg.solve(system, rhs)
-        except ValueError as exc:
-            raise SingularGram(f"degree-1 Gram system is singular: {exc}") from exc
-        coeff_rows.append(c)
-        name = yword.word_str(n)
-        images[name] = ShriekElement(n, {deg1[i]: c[i] for i in range(m) if c[i]})
-    if linalg.det(coeff_rows) == 0:
+        images[yword.word_str(n)] = ShriekElement(
+            n, {deg1[i]: solution[i][jy] for i in range(m) if solution[i][jy]}
+        )
+    if linalg.det(solution) == 0:
         raise SingularGram("computed generator images are not linearly independent")
     return NakayamaMap(n, images)
 

@@ -1,0 +1,93 @@
+"""The exact elimination kit, against sympy, and how often each caller eliminates."""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from weylkit import AlgebraKind, dual_presentation, nakayama, orthogonal_complement, relations_of
+from weylkit import linalg
+
+
+def _random_matrix(rng, nrows, ncols):
+    # mostly zeros and small values, so that many draws are singular and
+    # many need a row swap to find a pivot
+    values = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+    return [[Fraction(rng.choice(values)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _sym(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(v) for row in rows for v in row])
+
+
+def _random_cases():
+    rng = random.Random(20)
+    cases = [
+        [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],  # needs a swap, det -1
+        [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],  # singular
+        [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(3)]],  # singular, zero column
+    ]
+    for _ in range(150):
+        cases.append(_random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
+    return cases
+
+
+def test_linalg_matches_sympy_on_random_matrices():
+    rng = random.Random(7)
+    for rows in _random_cases():
+        ncols = len(rows[0])
+        sm = _sym(rows, ncols)
+        want_rref, want_pivots = sm.rref()
+        reduced, pivots = linalg.rref(rows)
+        assert pivots == list(want_pivots)
+        assert _sym(reduced, ncols) == want_rref[: len(pivots), :]
+        assert linalg.rank(rows) == sm.rank()
+        kernel = linalg.nullspace(rows, ncols)
+        assert [_sym([v], ncols).T for v in kernel] == sm.nullspace()
+        if len(rows) != ncols:
+            continue
+        assert sympy.Rational(linalg.det(rows)) == sm.det()
+        rhs = _random_matrix(rng, ncols, rng.randint(1, 3))
+        if sm.det() == 0:
+            with pytest.raises(ValueError):
+                linalg.solve(rows, rhs)
+        else:
+            x = linalg.solve(rows, rhs)
+            assert _sym(x, len(rhs[0])) == sm.inv() * _sym(rhs, len(rhs[0]))
+
+
+def test_nullspace_of_an_empty_system_is_the_identity():
+    assert linalg.nullspace([], 3) == [
+        [Fraction(int(i == j)) for j in range(3)] for i in range(3)
+    ]
+
+
+def test_det_of_the_empty_matrix_is_one():
+    assert linalg.det([]) == 1
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the runs of the one elimination loop."""
+    runs = []
+    inner = linalg._eliminate
+
+    def counting(rows, ncols):
+        runs.append((len(rows), ncols))
+        return inner(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    return runs
+
+
+def test_each_system_is_eliminated_once(eliminations):
+    B = AlgebraKind.B
+    orthogonal_complement(relations_of(B, 2))
+    assert len(eliminations) == 1  # the rank comes from the nullspace
+    eliminations.clear()
+    dual_presentation(B, 2)
+    assert len(eliminations) == 2  # rank of the primal and of the dual relations
+    eliminations.clear()
+    nakayama(2)
+    assert len(eliminations) == 2  # one solve for all right-hand sides, one det

@@ -28,6 +28,48 @@ def test_center_suite_example():
     assert report.passed and report.n_range == [1]
 
 
+def test_center_suite_solves_each_degree_once(monkeypatch):
+    from weylkit import verify
+
+    solves = []
+    inner = verify.centralizer_in_degree
+
+    def counting(kind, n, d):
+        solves.append((n, d))
+        return inner(kind, n, d)
+
+    monkeypatch.setattr(verify, "centralizer_in_degree", counting)
+    assert run_suite("center", 2).passed
+    assert sorted(solves) == [(n, d) for n in (1, 2) for d in range(6)]
+
+
+def test_center_suite_crash_fails_each_check_that_hits_it(monkeypatch):
+    from weylkit import verify
+
+    def crash(kind, n, d):
+        raise RuntimeError("solver down")
+
+    monkeypatch.setattr(verify, "centralizer_in_degree", crash)
+    report = run_suite("center", 1)
+    assert [c.status for c in report.checks] == ["fail", "fail"]
+    assert all("solver down" in c.witness for c in report.checks)
+
+
+def test_roundtrip_suite_checks_shriek_text_at_n3(monkeypatch):
+    from weylkit import verify
+
+    seen = []
+    inner = verify.reduce_expression
+
+    def recording(expr, kind):
+        seen.append(expr.n)
+        return inner(expr, kind)
+
+    monkeypatch.setattr(verify, "reduce_expression", recording)
+    assert run_suite("roundtrip", 3, budget=10).passed
+    assert seen.count(3) >= 1
+
+
 def test_shriek_dims_suite_example():
     report = run_suite("shriek-dims", 2, 0)
     assert report.passed and report.n_range == [1, 2]
@@ -268,10 +310,15 @@ def test_cli_usage_error_exit_code(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["center", "nakayama"])
+_VERB_MAX_N = {"center": 3, "nakayama": 3, "dims": 7, "dual": 12}
+
+
+@pytest.mark.parametrize("verb", list(_VERB_MAX_N))
 def test_cli_n_guard_fires_before_work(capsys, verb):
-    assert cli_main([verb, "--n", "4"]) == 1
-    assert capsys.readouterr().err == f"error: {verb} supports 1 <= n <= 3, got 4\n"
+    # one past each cap: dims --n 8 took 8.9 s and dims --n 12 over 60 s unguarded
+    over = _VERB_MAX_N[verb] + 1
+    assert cli_main([verb, "--n", str(over)]) == 1
+    assert capsys.readouterr().err == f"error: {verb} supports 1 <= n <= {over - 1}, got {over}\n"
 
 
 @pytest.mark.parametrize(
@@ -280,14 +327,31 @@ def test_cli_n_guard_fires_before_work(capsys, verb):
         "(" * 300 + "x1" + ")" * 300,
         "z^10000000",
         "(x1+d1+z)^12",
+        "2^20000",  # 6021 digits: past Python's int-to-str limit when printed
+        "4" * 4400,  # past the same limit when read
     ],
-    ids=["deep-nesting", "huge-exponent", "huge-expansion"],
+    ids=["deep-nesting", "huge-exponent", "huge-expansion", "huge-coefficient", "huge-literal"],
 )
 def test_cli_refuses_bad_expression_cleanly(capsys, text):
     assert cli_main(["nf", "--n", "1", "--", text]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_parser_is_reused_with_fresh_defaults(capsys, monkeypatch):
+    from weylkit import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    # every option is read before the one nf does not take is refused
+    assert cli_main(["nf", "--n", "2", "--algebra", "A", "--json", "d1*x1", "--seed", "3"]) == 2
+    capsys.readouterr()
+    assert cli_main(["nf", "d1*x1"]) == 0
+    assert capsys.readouterr().out == "x1*d1 + z^2\n"  # n = 1, kind B, text
+    assert built == [1]
 
 
 def test_cli_long_unary_minus_chain(capsys):
