@@ -55,6 +55,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_MAX_BUDGET = 1000  # process wall time of verify all --n 3 --budget 1000: 8.4 s (4.5 s at 200)
+
+
+def _budget(text: str) -> int:
+    value = _positive_int(text)
+    if value > _MAX_BUDGET:
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_BUDGET}, got {value}")
+    return value
+
+
 def _element(text: str, n: int, kind: AlgebraKind):
     """Parse ``text`` and reduce it to its canonical form in ``kind``."""
     expr = parse(text, n, kind)
@@ -168,35 +178,41 @@ def _verify(args) -> int:
 class _Verb(NamedTuple):
     handler: Callable[[argparse.Namespace], int | None]  # prints; returns the exit status, None for 0
     help: str
+    max_n: int  # larger --n is refused with UnsupportedN before any work
     exprs: int = 0  # number of EXPR positionals
     kinds: tuple[str, ...] = ()  # --algebra choices; () means no --algebra
-    max_n: int | None = None  # larger --n is refused with UnsupportedN before any work
     extra: tuple[tuple[str, dict], ...] = ()  # further add_argument calls
 
 
 _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 
+# Process wall times at the caps.  Expression verbs: every monomial holds two length-n
+# exponent vectors, so cost grows linearly in n (nf "(x1+d1+z)^4" 9 ms at n = 1 000, 0.7 s at
+# n = 100 000, in-process); at --n 1000, nf "(x1+d1+z)^8" takes 2.5 s (1.3 s at n = 1) and mul
+# of two of them 6.4 s (2.2 s).  dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 3 3.6 s,
+# dual --n 12 1.4 s, nakayama --n 3 1.1 s with --json; these grow fast with n.  verify takes
+# the largest suite cap; ``verify all`` runs each suite up to its own SUITE_MAX_N.
+_EXPR_MAX_N = 1000
+
 _VERBS = {
-    "nf": _Verb(_nf, "normal form of an expression", 1, _ALL_KINDS),
-    "mul": _Verb(_product, "product of two expressions", 2, _ALL_KINDS),
-    "comm": _Verb(_product, "commutator of two expressions", 2, _ALL_KINDS),
-    # process wall times at the caps: dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 3
-    # 3.6 s, dual --n 12 1.4 s, nakayama --n 3 1.1 s with --json; all grow fast with n
-    "dims": _Verb(_dims, "graded dimensions", 0, _ALL_KINDS, max_n=7),
-    "center": _Verb(_center, "centralizer bases in degrees 0..5", max_n=3),
-    "dual": _Verb(_dual, "quadratic-dual presentation of B or C", 0, ("B", "C"), max_n=12),
-    "nakayama": _Verb(_nakayama, "Nakayama automorphism data", max_n=3),
+    "nf": _Verb(_nf, "normal form of an expression", _EXPR_MAX_N, exprs=1, kinds=_ALL_KINDS),
+    "mul": _Verb(_product, "product of two expressions", _EXPR_MAX_N, exprs=2, kinds=_ALL_KINDS),
+    "comm": _Verb(_product, "commutator of two expressions", _EXPR_MAX_N, exprs=2, kinds=_ALL_KINDS),
+    "dims": _Verb(_dims, "graded dimensions", 7, kinds=_ALL_KINDS),
+    "center": _Verb(_center, "centralizer bases in degrees 0..5", 3),
+    "dual": _Verb(_dual, "quadratic-dual presentation of B or C", 12, kinds=("B", "C")),
+    "nakayama": _Verb(_nakayama, "Nakayama automorphism data", 3),
     # the localization verbs read --algebra only as B, the algebra being localized
-    "homogenize": _Verb(_homogenize, "minimal homogenization of a Weyl-algebra element", 1, ("B",)),
-    "dehomogenize": _Verb(_dehomogenize, "send z to 1", 1, ("B",)),
-    "theta": _Verb(_theta, "degree-zero fraction to Weyl algebra (z power inferred)", 1, ("B",)),
-    "mu": _Verb(_mu, "degree-t localized image of a Weyl-algebra element", 1, ("B",), extra=(
+    "homogenize": _Verb(_homogenize, "minimal homogenization of a Weyl-algebra element", _EXPR_MAX_N, exprs=1, kinds=("B",)),
+    "dehomogenize": _Verb(_dehomogenize, "send z to 1", _EXPR_MAX_N, exprs=1, kinds=("B",)),
+    "theta": _Verb(_theta, "degree-zero fraction to Weyl algebra (z power inferred)", _EXPR_MAX_N, exprs=1, kinds=("B",)),
+    "mu": _Verb(_mu, "degree-t localized image of a Weyl-algebra element", _EXPR_MAX_N, exprs=1, kinds=("B",), extra=(
         ("t", dict(nargs="?", type=int, default=0, help="z-degree shift (default 0)")),
     )),
-    "verify": _Verb(_verify, "run verification suites", extra=(
+    "verify": _Verb(_verify, "run verification suites", max(SUITE_MAX_N.values()), extra=(
         ("suite", dict(nargs="?", default="all", help=f"suite name or 'all'; suites: {', '.join(SUITE_NAMES)}")),
         ("--seed", dict(type=int, default=DEFAULT_SEED, help="sample-stream seed")),
-        ("--budget", dict(type=_positive_int, default=DEFAULT_BUDGET, help="sample count per check")),
+        ("--budget", dict(type=_budget, default=DEFAULT_BUDGET, help=f"sample count per check (at most {_MAX_BUDGET})")),
         ("--bless", dict(action="store_true", help="write golden files before running")),
     )),
 }
@@ -238,7 +254,7 @@ def cli_main(argv=None) -> int:
     if verb.kinds:
         args.algebra = AlgebraKind(args.algebra)
     try:
-        if verb.max_n is not None and args.n > verb.max_n:
+        if args.n > verb.max_n:
             raise UnsupportedN(f"{args.verb} supports 1 <= n <= {verb.max_n}, got {args.n}")
         return verb.handler(args) or 0
     except WeylkitError as exc:

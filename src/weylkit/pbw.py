@@ -335,14 +335,6 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a._bilinear(b, _mul_monomials)
 
 
-def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a + b
-
-
-def scale(c: Rational, a: AlgebraElement) -> AlgebraElement:
-    return a.scaled(c)
-
-
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """ab - ba."""
     return multiply(a, b) - multiply(b, a)

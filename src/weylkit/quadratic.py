@@ -124,7 +124,7 @@ def pairing(r: Relation, s: Relation) -> Fraction:
     return total
 
 
-def _relation_rows(rels: list[Relation] | tuple[Relation, ...], g: int) -> list[list[Fraction]]:
+def relation_rows(rels: list[Relation] | tuple[Relation, ...], g: int) -> list[list[Fraction]]:
     """Relations as dense coefficient rows over the (u,v) grid."""
     rows = []
     for rel in rels:
@@ -143,7 +143,7 @@ def orthogonal_complement(p: QuadraticPresentation) -> DualRelationBasis:
     """
     g = p.ngens
     # row . flat(s) = pairing(rel, s) for the row of the transposed relation
-    rows = _relation_rows([{(v, u): c for (u, v), c in rel.items()} for rel in p.relations], g)
+    rows = relation_rows([{(v, u): c for (u, v), c in rel.items()} for rel in p.relations], g)
     kernel = linalg.nullspace(rows, g * g)
     if len(kernel) != g * g - len(rows):  # rank-nullity
         raise RankDeficientInput("relation list is linearly dependent")
@@ -203,8 +203,8 @@ def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     g = len(gens)
     primal = relations_of(kind, n).relations
     orthogonal = all(pairing(r, s) == 0 for r in primal for s in rels)
-    primal_rank = linalg.rank(_relation_rows(primal, g))
-    if not orthogonal or linalg.rank(_relation_rows(rels, g)) != g * g - primal_rank:
+    primal_rank = linalg.rank(relation_rows(primal, g))
+    if not orthogonal or linalg.rank(relation_rows(rels, g)) != g * g - primal_rank:
         raise RuntimeError(
             "structured dual presentation does not span the orthogonal complement"
         )

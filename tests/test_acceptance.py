@@ -43,7 +43,7 @@ from weylkit import (
     word_normal_form,
 )
 from weylkit import linalg
-from weylkit.quadratic import _relation_rows
+from weylkit.quadratic import relation_rows
 from weylkit.shriek import multiply as smul, reduce_word
 from weylkit.verify import compute_golden, load_golden, random_element
 
@@ -149,8 +149,8 @@ def test_criterion_5_dual_relations():
             structured = dual_presentation(B, n)  # raises if the span differs
             g = len(structured.generators)
             assert linalg.span_equal(
-                _relation_rows(structured.relations, g),
-                _relation_rows(comp.basis, g),
+                relation_rows(structured.relations, g),
+                relation_rows(comp.basis, g),
             ), n
 
 

@@ -15,7 +15,7 @@ from weylkit import (
     pairing,
     relations_of,
 )
-from weylkit.quadratic import _relation_rows, generator_names, relation_text
+from weylkit.quadratic import generator_names, relation_rows, relation_text
 from weylkit import linalg
 
 B, C = AlgebraKind.B, AlgebraKind.C
@@ -171,8 +171,8 @@ def test_dual_spans_complement_by_sympy_oracle(n):
     comp = orthogonal_complement(p)
     dual = dual_presentation(B, n)
     g = len(p.generators)
-    m_comp = sympy.Matrix([[sympy.Rational(v) for v in row] for row in _relation_rows(comp.basis, g)])
-    m_dual = sympy.Matrix([[sympy.Rational(v) for v in row] for row in _relation_rows(dual.relations, g)])
+    m_comp = sympy.Matrix([[sympy.Rational(v) for v in row] for row in relation_rows(comp.basis, g)])
+    m_dual = sympy.Matrix([[sympy.Rational(v) for v in row] for row in relation_rows(dual.relations, g)])
     stacked = m_comp.col_join(m_dual)
     assert m_comp.rank() == m_dual.rank() == stacked.rank() == 2 * n * n + 3 * n + 1
 
@@ -183,14 +183,14 @@ def test_involution(n):
     comp = orthogonal_complement(p)
     back = orthogonal_complement(QuadraticPresentation(n, B, p.generators, comp.basis))
     g = len(p.generators)
-    assert linalg.span_equal(_relation_rows(back.basis, g), _relation_rows(p.relations, g))
+    assert linalg.span_equal(relation_rows(back.basis, g), relation_rows(p.relations, g))
 
 
 def test_rank_nullity_against_sympy():
     for n in (1, 2):
         p = relations_of(B, n)
         g = len(p.generators)
-        m = sympy.Matrix([[sympy.Rational(v) for v in row] for row in _relation_rows(p.relations, g)])
+        m = sympy.Matrix([[sympy.Rational(v) for v in row] for row in relation_rows(p.relations, g)])
         assert m.rank() + len(orthogonal_complement(p).basis) == g * g
 
 

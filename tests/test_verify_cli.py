@@ -1,13 +1,16 @@
 """Verification harness and CLI tests."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylkit import UnknownSuite, UnsupportedN, run_suite
-from weylkit.cli import cli_main
+from weylkit.cli import _VERBS, cli_main
 from weylkit.verify import SUITE_NAMES, bless_golden, compute_golden, load_golden
 
 
@@ -52,6 +55,37 @@ def test_center_suite_crash_fails_each_check_that_hits_it(monkeypatch):
     monkeypatch.setattr(verify, "centralizer_in_degree", crash)
     report = run_suite("center", 1)
     assert [c.status for c in report.checks] == ["fail", "fail"]
+    assert all("solver down" in c.witness for c in report.checks)
+
+
+def test_dual_suite_builds_each_presentation_once(monkeypatch):
+    from weylkit import linalg, verify
+
+    calls = []
+
+    def counting(module, name):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or inner(*args))
+
+    counting(verify, "orthogonal_complement")
+    counting(verify, "dual_presentation")
+    counting(linalg, "_eliminate")
+    assert run_suite("dual-orthogonality", 3).passed
+    # per n: one complement and the B and C duals; n <= 2 adds the involution's double complement
+    assert calls.count("orthogonal_complement") == 5
+    assert calls.count("dual_presentation") == 6
+    assert calls.count("_eliminate") == 23
+
+
+def test_nakayama_suite_crash_fails_each_check_that_hits_it(monkeypatch):
+    from weylkit import verify
+
+    def crash(n):
+        raise RuntimeError("solver down")
+
+    monkeypatch.setattr(verify, "nakayama", crash)
+    report = run_suite("nakayama", 1)
+    assert [c.status for c in report.checks] == ["fail"] * 6
     assert all("solver down" in c.witness for c in report.checks)
 
 
@@ -303,6 +337,7 @@ def test_cli_index_error(capsys):
         ["dual", "--algebra", "C!"],
         ["nakayama", "--bless"],
         ["homogenize", "--algebra", "A", "x1"],
+        ["verify", "center", "--budget", "1001"],
     ],
 )
 def test_cli_usage_error_exit_code(capsys, argv):
@@ -310,14 +345,30 @@ def test_cli_usage_error_exit_code(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-_VERB_MAX_N = {"center": 3, "nakayama": 3, "dims": 7, "dual": 12}
+# verb -> (largest --n, EXPR count)
+_VERB_MAX_N = {
+    "center": (3, 0),
+    "nakayama": (3, 0),
+    "dims": (7, 0),
+    "dual": (12, 0),
+    "nf": (1000, 1),
+    "mul": (1000, 2),
+    "comm": (1000, 2),
+    "homogenize": (1000, 1),
+    "dehomogenize": (1000, 1),
+    "theta": (1000, 1),
+    "mu": (1000, 1),
+    "verify": (3, 0),
+}
 
 
 @pytest.mark.parametrize("verb", list(_VERB_MAX_N))
 def test_cli_n_guard_fires_before_work(capsys, verb):
-    # one past each cap: dims --n 8 took 8.9 s and dims --n 12 over 60 s unguarded
-    over = _VERB_MAX_N[verb] + 1
-    assert cli_main([verb, "--n", str(over)]) == 1
+    # one past each cap: dims --n 8 took 8.9 s and dims --n 12 over 60 s unguarded;
+    # nf --n 1000000000 x1 died allocating its exponent vectors
+    max_n, exprs = _VERB_MAX_N[verb]
+    over = max_n + 1
+    assert cli_main([verb, "--n", str(over), *["x1"] * exprs]) == 1
     assert capsys.readouterr().err == f"error: {verb} supports 1 <= n <= {over - 1}, got {over}\n"
 
 
@@ -357,6 +408,33 @@ def test_cli_parser_is_reused_with_fresh_defaults(capsys, monkeypatch):
 def test_cli_long_unary_minus_chain(capsys):
     assert cli_main(["nf", "--n", "1", "--", "-" * 3000 + "x1"]) == 0
     assert capsys.readouterr().out == "x1\n"
+
+
+@st.composite
+def _argvs(draw):
+    name = draw(st.sampled_from(sorted(_VERBS)))
+    verb = _VERBS[name]
+    argv = [name, "--n", str(draw(st.sampled_from([1, verb.max_n + 1])))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if verb.kinds:
+        argv += ["--algebra", draw(st.sampled_from(verb.kinds))]
+    if name == "verify":
+        argv += [draw(st.sampled_from(["all", *SUITE_NAMES])), "--budget", draw(st.sampled_from(["1", "1001"]))]
+    if verb.exprs:
+        # short texts: three more characters reach inputs that run past a minute (d1^8*x1^8)
+        argv += ["--", *[draw(st.text(alphabet="xdz0123456789+-*^/() ", max_size=6)) for _ in range(verb.exprs)]]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argvs())
+def test_cli_fuzz_ends_in_a_clean_exit(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = cli_main(argv)
+    assert status in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_text_output_deterministic(capsys):
