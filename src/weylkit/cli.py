@@ -15,10 +15,10 @@ import sys
 import textwrap
 from typing import Callable, NamedTuple
 
-from .errors import UnsupportedN, WeylkitError
+from .errors import ExpressionTooLarge, UnsupportedN, WeylkitError
 from .expressions import GRAMMAR, parse, render
 from .generators import AlgebraKind
-from .pbw import basis_of_degree, centralizer_in_degree, graded_degree, normal_form
+from .pbw import basis_of_degree, centralizer_in_degree, graded_degree, least_partial_part, normal_form
 from .quadratic import dual_presentation, relation_text, relations_of
 from .shriek import degree_dimensions, nakayama, reduce_expression
 from .localization import (
@@ -75,9 +75,36 @@ def _nf(args) -> None:
     print(render(_element(args.expr[0], args.n, args.algebra), args.format))
 
 
+def _refuse_unprintable(a, b, comm: bool) -> None:
+    """Refuse ``a * b`` (``a * b - b * a`` if ``comm``) before it is built when
+    a coefficient of it has more digits than ``render`` can print.
+
+    The part of least partial degree is exact and costs one term per term
+    pair, so a refused product would have been refused by ``render``.
+    """
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    if not digits:
+        return
+    p, low = least_partial_part(a, b)
+    if p is None:
+        return
+    if comm:  # the part of a*b - b*a in degree min(p, q)
+        q, high = least_partial_part(b, a)
+        if q < p:
+            low = high
+        elif q == p:
+            low = low - high
+    bound = 10**digits
+    if any(abs(c.numerator) >= bound or c.denominator >= bound for c in low.coeffs.values()):
+        raise ExpressionTooLarge(f"a coefficient has more than {digits} digits")
+
+
 def _product(args) -> None:
     a, b = (_element(text, args.n, args.algebra) for text in args.expr)
-    print(render(a * b if args.verb == "mul" else a * b - b * a, args.format))
+    comm = args.verb == "comm"
+    if not args.algebra.is_shriek:
+        _refuse_unprintable(a, b, comm)
+    print(render(a * b - b * a if comm else a * b, args.format))
 
 
 def _dims(args) -> None:

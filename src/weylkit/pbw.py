@@ -25,15 +25,19 @@ Rewriting rules (applied to adjacent generator pairs):
     d_j d_i -> d_i d_j            (j > i)
     g z     -> z g                (every generator g)
 
-Kind C sorts all pairs commutatively.  The default strategy is leftmost
-reduction with a worklist; passing an ``rng`` picks redexes at random,
+Kind C sorts all pairs commutatively.  Pending words are rewritten in
+decreasing order of the termination measure, so like words merge before
+they are reduced and each distinct word is reduced once.  Each word's
+leftmost redex is rewritten; passing an ``rng`` picks redexes at random,
 which the confluence tests exercise.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -221,6 +225,21 @@ def _ranks_to_monomial(ranks: tuple[int, ...], n: int) -> PBWMonomial:
     return PBWMonomial(ze, tuple(xe), tuple(de))
 
 
+def _measure(ranks: tuple[int, ...], n: int) -> tuple[int, int]:
+    """The termination measure (d-before-x inversions, other inversions)."""
+    seen: list[int] = []  # the ranks read so far, sorted
+    ds = dx = inversions = 0
+    for r in ranks:
+        k = bisect_right(seen, r)  # seen ranks <= r; each larger one is an inversion
+        inversions += len(seen) - k
+        seen.insert(k, r)
+        if r > n:
+            ds += 1
+        elif r:
+            dx += ds
+    return dx, inversions - dx
+
+
 def _reduce_rank_words(
     terms: dict[tuple[int, ...], Fraction],
     kind: AlgebraKind,
@@ -232,12 +251,34 @@ def _reduce_rank_words(
     The map may hold zero coefficients; the element constructor drops them.
 
     Terminates for any redex order: each step strictly decreases the pair
-    (d-before-x inversions, other misordered pairs) of every produced word.
+    (d-before-x inversions, other inversions) of every produced word, in
+    lexicographic order.  A swap lowers one component by one: the first
+    for a d_j x_i pair, the second for any other pair.  The correction
+    word of d_i x_i drops a d before an x, so its first component falls;
+    its measure is recounted.
+
+    Pending words are popped largest measure first.  Every word that can
+    feed a word w has a larger measure, so w is popped only after all its
+    contributions have merged into it, and each distinct word is reduced
+    exactly once.
     """
     out: dict[PBWMonomial, Fraction] = {}
-    pending = dict(terms)
-    while pending:
-        ranks, coeff = pending.popitem()
+    pending: dict[tuple[int, ...], Fraction] = {}
+    heap: list[tuple[int, int, tuple[int, ...]]] = []  # (-dx, -other, word): a min-heap
+
+    def add(ranks, coeff, dx, other):
+        if ranks in pending:
+            pending[ranks] += coeff
+        else:
+            pending[ranks] = coeff
+            heapq.heappush(heap, (-dx, -other, ranks))
+
+    for ranks, coeff in terms.items():
+        add(ranks, coeff, *_measure(ranks, n))
+    while heap:
+        dx, other, ranks = heapq.heappop(heap)
+        dx, other = -dx, -other
+        coeff = pending.pop(ranks)
         if coeff == 0:
             continue
         if rng is None:
@@ -251,11 +292,14 @@ def _reduce_rank_words(
             continue
         a, b = ranks[pos], ranks[pos + 1]
         swapped = ranks[:pos] + (b, a) + ranks[pos + 2 :]
-        pending[swapped] = pending.get(swapped, Fraction(0)) + coeff
-        if kind is not AlgebraKind.C and a > n and a - n == b:
-            # d_i x_i: correction term z^2 (kind B) or 1 (kind A)
-            corr = ranks[:pos] + ((0, 0) if kind is AlgebraKind.B else ()) + ranks[pos + 2 :]
-            pending[corr] = pending.get(corr, Fraction(0)) + coeff
+        if a > n >= b > 0:
+            add(swapped, coeff, dx - 1, other)
+            if kind is not AlgebraKind.C and a - n == b:
+                # d_i x_i: correction term z^2 (kind B) or 1 (kind A)
+                corr = ranks[:pos] + ((0, 0) if kind is AlgebraKind.B else ()) + ranks[pos + 2 :]
+                add(corr, coeff, *_measure(corr, n))
+        else:
+            add(swapped, coeff, dx, other - 1)
     return out
 
 
@@ -333,6 +377,39 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Canonical product.  Bilinear and associative; unit is ``one``."""
     a._check_compatible(b)
     return a._bilinear(b, _mul_monomials)
+
+
+def least_partial_part(a: AlgebraElement, b: AlgebraElement) -> tuple[int | None, AlgebraElement]:
+    """The least partial degree p of a term of ``a * b``, and the part of ``a * b`` in degree p.
+
+    A term pair reaches its least degree only through the k_i = min(q_i, p_i)
+    term of the exchange identity, whose coefficient is
+    prod_i max(q_i, p_i)! / |q_i - p_i|!.  So this builds one term per term
+    pair, where ``multiply`` builds prod_i (min(q_i, p_i) + 1) of them.  The
+    part is exact, so it may be zero; p is None when a or b is zero.
+    """
+    a._check_compatible(b)
+    kind = a.kind
+    least, part = None, {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            ks = (0,) * a.n if kind is AlgebraKind.C else tuple(map(min, m1.dexps, m2.xexps))
+            partial = m1.partial + m2.partial - 2 * sum(ks)
+            if least is None or partial < least:
+                least, part = partial, {}
+            if partial > least:
+                continue
+            coeff = c1 * c2
+            for q, p, k in zip(m1.dexps, m2.xexps, ks):
+                if k:
+                    coeff *= factorial(q + p - k) // factorial(q + p - 2 * k)
+            m = PBWMonomial(
+                m1.zexp + m2.zexp + (2 * sum(ks) if kind is AlgebraKind.B else 0),
+                tuple(x + p - k for x, p, k in zip(m1.xexps, m2.xexps, ks)),
+                tuple(q - k + d for q, k, d in zip(m1.dexps, ks, m2.dexps)),
+            )
+            part[m] = part.get(m, 0) + coeff
+    return least, AlgebraElement(kind, a.n, part)
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

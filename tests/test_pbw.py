@@ -30,6 +30,7 @@ from weylkit import (
     z_divides,
     z_shift,
 )
+from weylkit import pbw
 from weylkit.shriek import multiply as shriek_multiply
 from weylkit.verify import random_element, random_word
 
@@ -273,6 +274,60 @@ def test_confluence_random_orders():
         ref = word_normal_form(w, kind, n)
         for _ in range(4):
             assert word_normal_form(w, kind, n, rng=rng) == ref
+
+
+@pytest.fixture
+def rewrite_steps(monkeypatch):
+    """Records each word the default strategy rewrites: one leftmost-redex search per word."""
+    words = []
+    inner = pbw._leftmost_redex
+
+    def counting(ranks):
+        words.append(ranks)
+        return inner(ranks)
+
+    monkeypatch.setattr(pbw, "_leftmost_redex", counting)
+    return words
+
+
+@pytest.mark.parametrize(
+    "text, n, steps",
+    [
+        ("(x1+d1+z)^8", 1, 3**8),  # every word of length 8 over z, x1, d1
+        ("d1^8*x1^8", 1, 1557),
+        ("(x1+d1+x2+d2+z)^5", 2, 5**5),
+    ],
+)
+def test_each_word_is_rewritten_once(rewrite_steps, text, n, steps):
+    nf(text, n, B)
+    assert len(rewrite_steps) == steps
+    assert len(set(rewrite_steps)) == steps
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_exchange_power_by_rewriting(k):
+    d1, x1 = Generator.d(1), Generator.x(1)
+    got = word_normal_form([d1] * k + [x1] * k, B, 1)
+    assert got == multiply(gen_el(B, 1, d1) ** k, gen_el(B, 1, x1) ** k)
+    # random redex orders reach many more interleavings: k = 8 takes 1.3 s, k = 10 79 s
+    if k <= 6:
+        for seed in range(3):
+            assert word_normal_form([d1] * k + [x1] * k, B, 1, rng=random.Random(seed)) == got
+
+
+def test_least_partial_part_is_the_lowest_slice_of_the_product():
+    rng = random.Random(37)
+    for _ in range(200):
+        kind = rng.choice([A, B, C])
+        n = rng.choice([1, 2])
+        a, b = random_element(rng, kind, n), random_element(rng, kind, n)
+        least, part = pbw.least_partial_part(a, b)
+        if a.is_zero() or b.is_zero():
+            assert least is None and part.is_zero()
+            continue
+        product = multiply(a, b)
+        assert part == AlgebraElement(kind, n, {m: c for m, c in product.coeffs.items() if m.partial == least})
+        assert all(m.partial >= least for m in product.coeffs)
 
 
 # -- the center ---------------------------------------------------------------------

@@ -5,9 +5,10 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weylkit import UnknownSuite, UnsupportedN, run_suite
 from weylkit.cli import _VERBS, cli_main
@@ -390,6 +391,28 @@ def test_cli_refuses_bad_expression_cleanly(capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["mul", "comm"])
+def test_cli_refuses_huge_product_before_building_it(capsys, verb):
+    # 10 000 terms, among them 9999!*z^19998 (35 656 digits); building them took 53 s
+    start = time.perf_counter()
+    assert cli_main([verb, "--n", "1", "d1^9999", "x1^9999"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_product_guard_lets_a_cancelling_commutator_print(capsys):
+    # a*a holds a coefficient of 400! (869 digits), which cancels in a*a - a*a
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli_main(["comm", "--n", "1", "x1^400*d1^400", "x1^400*d1^400"]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert cli_main(["mul", "--n", "1", "x1^400*d1^400", "x1^400*d1^400"]) == 1
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_cli_parser_is_reused_with_fresh_defaults(capsys, monkeypatch):
     from weylkit import cli
 
@@ -422,13 +445,14 @@ def _argvs(draw):
     if name == "verify":
         argv += [draw(st.sampled_from(["all", *SUITE_NAMES])), "--budget", draw(st.sampled_from(["1", "1001"]))]
     if verb.exprs:
-        # short texts: three more characters reach inputs that run past a minute (d1^8*x1^8)
-        argv += ["--", *[draw(st.text(alphabet="xdz0123456789+-*^/() ", max_size=6)) for _ in range(verb.exprs)]]
+        argv += ["--", *[draw(st.text(alphabet="xdz0123456789+-*^/() ", max_size=8)) for _ in range(verb.exprs)]]
     return argv
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=1000)
 @given(_argvs())
+@example(["nf", "--n", "1", "--", "d1^8*x1^8"])
+@example(["nf", "--n", "1", "--", "(d1+x1+z)^8"])
 def test_cli_fuzz_ends_in_a_clean_exit(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
