@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import textwrap
+from math import prod
 from typing import Callable, NamedTuple
 
 from .errors import ExpressionTooLarge, UnsupportedN, WeylkitError
@@ -42,7 +43,7 @@ from .verify import (
 _EXAMPLES = 'examples: "d1*x1 - x1*d1 - z^2", "3/2 * z * x2", "(x1+d1)^2"\n'
 GRAMMAR_HELP = "expression grammar:\n" + textwrap.indent(GRAMMAR, "  ") + _EXAMPLES
 
-A, B = AlgebraKind.A, AlgebraKind.B
+A, B, C = AlgebraKind.A, AlgebraKind.B, AlgebraKind.C
 
 
 def _positive_int(text: str) -> int:
@@ -75,6 +76,28 @@ def _nf(args) -> None:
     print(render(_element(args.expr[0], args.n, args.algebra), args.format))
 
 
+# mul --n 5 "d1^9*...*d5^9" "x1^9*...*x5^9" builds 100 000 terms: 2.9 s, 111 MB RSS, 7.5 MB
+# printed, in-process; with d5^19 and x5^19 instead, 200 000 terms took 7.3 s and 209 MB
+_MAX_PRODUCT_TERMS = 100_000
+
+
+def _refuse_too_many_terms(a, b, comm: bool) -> None:
+    """Refuse ``a * b`` (and ``b * a`` if ``comm``) before it is built when
+    ``multiply`` would build more than ``_MAX_PRODUCT_TERMS`` terms.
+
+    A term pair builds prod_i (min(q_i, p_i) + 1) terms, q the d-exponents
+    of its left monomial and p the x-exponents of its right one; kind C
+    exchanges nothing and builds one.  Counting stops at the cap.
+    """
+    built = 0
+    for left, right in ((a, b), (b, a)) if comm else ((a, b),):
+        for m1 in left.coeffs:
+            for m2 in right.coeffs:
+                built += 1 if a.kind is C else prod(min(q, p) + 1 for q, p in zip(m1.dexps, m2.xexps))
+                if built > _MAX_PRODUCT_TERMS:
+                    raise ExpressionTooLarge(f"the product would build more than {_MAX_PRODUCT_TERMS} terms")
+
+
 def _refuse_unprintable(a, b, comm: bool) -> None:
     """Refuse ``a * b`` (``a * b - b * a`` if ``comm``) before it is built when
     a coefficient of it has more digits than ``render`` can print.
@@ -103,6 +126,7 @@ def _product(args) -> None:
     a, b = (_element(text, args.n, args.algebra) for text in args.expr)
     comm = args.verb == "comm"
     if not args.algebra.is_shriek:
+        _refuse_too_many_terms(a, b, comm)
         _refuse_unprintable(a, b, comm)
     print(render(a * b - b * a if comm else a * b, args.format))
 
@@ -216,7 +240,7 @@ _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 # Process wall times at the caps.  Expression verbs: every monomial holds two length-n
 # exponent vectors, so cost grows linearly in n (nf "(x1+d1+z)^4" 9 ms at n = 1 000, 0.7 s at
 # n = 100 000, in-process); at --n 1000, nf "(x1+d1+z)^8" takes 2.5 s (1.3 s at n = 1) and mul
-# of two of them 6.4 s (2.2 s).  dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 3 3.6 s,
+# of two of them 6.4 s (2.2 s).  dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 4 1.3-1.4 s,
 # dual --n 12 1.4 s, nakayama --n 3 1.1 s with --json; these grow fast with n.  verify takes
 # the largest suite cap; ``verify all`` runs each suite up to its own SUITE_MAX_N.
 _EXPR_MAX_N = 1000
@@ -226,7 +250,7 @@ _VERBS = {
     "mul": _Verb(_product, "product of two expressions", _EXPR_MAX_N, exprs=2, kinds=_ALL_KINDS),
     "comm": _Verb(_product, "commutator of two expressions", _EXPR_MAX_N, exprs=2, kinds=_ALL_KINDS),
     "dims": _Verb(_dims, "graded dimensions", 7, kinds=_ALL_KINDS),
-    "center": _Verb(_center, "centralizer bases in degrees 0..5", 3),
+    "center": _Verb(_center, "centralizer bases in degrees 0..5", 4),
     "dual": _Verb(_dual, "quadratic-dual presentation of B or C", 12, kinds=("B", "C")),
     "nakayama": _Verb(_nakayama, "Nakayama automorphism data", 3),
     # the localization verbs read --algebra only as B, the algebra being localized

@@ -20,7 +20,8 @@ class ParseError(WeylkitError):
 
 
 class ExpressionTooLarge(WeylkitError):
-    """An expression expands past the parser's bound, or a number has too many digits."""
+    """An expression expands past the parser's bound, a product would build too
+    many terms, or a number has too many digits."""
 
 
 class IndexOutOfRange(WeylkitError):

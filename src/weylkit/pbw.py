@@ -464,41 +464,46 @@ def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
     return monomials
 
 
-def _generator_elements(kind: AlgebraKind, n: int) -> list[AlgebraElement]:
-    gens = []
-    if kind.has_z:
-        gens.append(AlgebraElement.generator(kind, n, Generator.z()))
-    gens.extend(AlgebraElement.generator(kind, n, Generator.x(i)) for i in range(1, n + 1))
-    gens.extend(AlgebraElement.generator(kind, n, Generator.d(i)) for i in range(1, n + 1))
-    return gens
-
-
 def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElement]:
     """Basis of the homogeneous degree-d elements commuting with every generator.
 
     Exact linear solve: unknowns are coefficients over the degree-d basis,
-    one equation per generator and degree-(d+1) monomial.
+    one equation per generator and degree-(d+1) monomial.  z is central,
+    so only x_i and d_i give equations.
+
+    ``ad(x_i)`` and ``ad(d_i)`` shift the Z^n weight (x-exponents minus
+    d-exponents) of every monomial by +e_i resp. -e_i, so the system is
+    block-diagonal by weight, and each weight block of the basis is solved
+    alone.  The result is still the basis ``linalg.nullspace`` gives for the
+    whole system, in its order.  That basis has one vector per free column,
+    and a vector's last nonzero entry is its free column.  A block keeps its
+    columns in basis order, so it has the same free columns and the same
+    vectors; sorting them by the basis index of their last nonzero entry
+    restores the order.
     """
     basis = basis_of_degree(kind, n, d)
-    ncols = len(basis)
-    rows: list[list[Fraction]] = []
-    for g in _generator_elements(kind, n):
-        columns: list[dict[PBWMonomial, Fraction]] = []
-        for m in basis:
-            bm = AlgebraElement.monomial(kind, n, m)
-            columns.append(commutator(bm, g).coeffs)
-        targets = sorted({t for col in columns for t in col}, key=PBWMonomial.sort_key)
-        for t in targets:
-            row = [Fraction(0)] * ncols
-            for j, col in enumerate(columns):
-                if t in col:
-                    row[j] = col[t]
-            rows.append(row)
-    out = []
-    for vec in linalg.nullspace(rows, ncols):
-        coeffs = {basis[j]: v for j, v in enumerate(vec) if v}
-        out.append(AlgebraElement(kind, n, coeffs))
-    return out
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for j, m in enumerate(basis):
+        blocks.setdefault(tuple(x - e for x, e in zip(m.xexps, m.dexps)), []).append(j)
+    gens = [
+        AlgebraElement.generator(kind, n, g(i))
+        for g in (Generator.x, Generator.d)
+        for i in range(1, n + 1)
+    ]
+    zero = Fraction(0)
+    found: list[tuple[int, dict[PBWMonomial, Fraction]]] = []
+    for cols in blocks.values():
+        monomials = [AlgebraElement.monomial(kind, n, basis[j]) for j in cols]
+        rows: list[list[Fraction]] = []
+        for g in gens:
+            columns = [commutator(bm, g).coeffs for bm in monomials]
+            targets = {t for col in columns for t in col}
+            rows.extend([col.get(t, zero) for col in columns] for t in targets)
+        for vec in linalg.nullspace(rows, len(cols)):
+            support = [(j, v) for j, v in zip(cols, vec) if v]
+            found.append((support[-1][0], {basis[j]: v for j, v in support}))
+    found.sort(key=lambda item: item[0])
+    return [AlgebraElement(kind, n, coeffs) for _, coeffs in found]
 
 
 # -- divisibility by z ---------------------------------------------------------

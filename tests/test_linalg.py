@@ -67,18 +67,30 @@ def test_det_of_the_empty_matrix_is_one():
     assert linalg.det([]) == 1
 
 
-@pytest.fixture
-def eliminations(monkeypatch):
-    """Counts the runs of the one elimination loop."""
-    runs = []
-    inner = linalg._eliminate
-
-    def counting(rows, ncols):
-        runs.append((len(rows), ncols))
-        return inner(rows, ncols)
-
-    monkeypatch.setattr(linalg, "_eliminate", counting)
-    return runs
+def test_block_kernels_sorted_by_last_entry_are_the_whole_kernel():
+    # the argument of pbw.centralizer_in_degree: each vector of a block-diagonal
+    # system's nullspace lies in one block and ends at its free column
+    rng = random.Random(11)
+    for _ in range(300):
+        ncols = rng.randint(1, 8)
+        block_of = [rng.randrange(3) for _ in range(ncols)]
+        blocks = [[j for j in range(ncols) if block_of[j] == b] for b in range(3)]
+        merged, rows = [], []
+        for cols in filter(None, blocks):
+            block_rows = _random_matrix(rng, rng.randint(0, 4), len(cols))
+            for row in block_rows:
+                full = [Fraction(0)] * ncols
+                for j, v in zip(cols, row):
+                    full[j] = v
+                rows.append(full)
+            for vec in linalg.nullspace(block_rows, len(cols)):
+                full = [Fraction(0)] * ncols
+                for j, v in zip(cols, vec):
+                    full[j] = v
+                merged.append(full)
+        rng.shuffle(rows)
+        merged.sort(key=lambda vec: max(j for j, v in enumerate(vec) if v))
+        assert merged == linalg.nullspace(rows, ncols)
 
 
 def test_each_system_is_eliminated_once(eliminations):

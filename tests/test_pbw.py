@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -30,7 +31,7 @@ from weylkit import (
     z_divides,
     z_shift,
 )
-from weylkit import pbw
+from weylkit import linalg, pbw
 from weylkit.shriek import multiply as shriek_multiply
 from weylkit.verify import random_element, random_word
 
@@ -361,6 +362,42 @@ def test_noncentral_monomial_detected():
 def test_centralizer_commutative_kind_is_everything():
     for d in (0, 1, 2):
         assert len(centralizer_in_degree(C, 1, d)) == len(basis_of_degree(C, 1, d))
+
+
+def dense_centralizer(kind, n, d):
+    """The whole system in one elimination, one row per generator and target."""
+    basis = basis_of_degree(kind, n, d)
+    gens = [gen_el(kind, n, Generator.z())] if kind is not A else []
+    gens += [gen_el(kind, n, g(i)) for g in (Generator.x, Generator.d) for i in range(1, n + 1)]
+    rows = []
+    for g in gens:
+        columns = [commutator(AlgebraElement.monomial(kind, n, m), g).coeffs for m in basis]
+        for t in sorted({t for col in columns for t in col}, key=PBWMonomial.sort_key):
+            rows.append([col.get(t, Fraction(0)) for col in columns])
+    return [{m: v for m, v in zip(basis, vec) if v} for vec in linalg.nullspace(rows, len(basis))]
+
+
+_ORACLE_SIZES = [(n, d) for n in (1, 2) for d in range(6)] + [(3, d) for d in range(4)]
+
+
+@pytest.mark.parametrize("kind", [A, B, C], ids=lambda k: k.value)
+def test_centralizer_blocks_give_the_dense_basis_in_its_order(kind):
+    for n, d in _ORACLE_SIZES:
+        got = [v.coeffs for v in centralizer_in_degree(kind, n, d)]
+        assert got == dense_centralizer(kind, n, d), (n, d)
+
+
+@pytest.mark.parametrize(
+    "kind, blocks, cells, largest",
+    # the dense system was 1260 x 462 (582 120 cells) for B and 756 x 252 (190 512) for A
+    [(B, 231, 5076, (30, 10)), (A, 146, 2154, (21, 6))],
+    ids=["B", "A"],
+)
+def test_centralizer_eliminates_one_weight_block_at_a_time(eliminations, kind, blocks, cells, largest):
+    centralizer_in_degree(kind, 3, 5)
+    assert len(eliminations) == blocks
+    assert sum(r * c for r, c in eliminations) == cells
+    assert max(eliminations) == largest
 
 
 # -- z divisibility -----------------------------------------------------------------

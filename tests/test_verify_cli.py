@@ -283,6 +283,13 @@ def test_cli_center(capsys):
     assert "degree 3: dimension 1: z^3" in out
 
 
+def test_cli_center_at_its_cap(capsys):
+    assert cli_main(["center", "--n", "4"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"degree {d}: dimension 1: {'1' if d == 0 else 'z' if d == 1 else f'z^{d}'}\n" for d in range(6)
+    )
+
+
 def test_cli_dual(capsys):
     assert cli_main(["dual", "--n", "1", "--algebra", "B"]) == 0
     out = capsys.readouterr().out
@@ -348,7 +355,7 @@ def test_cli_usage_error_exit_code(capsys, argv):
 
 # verb -> (largest --n, EXPR count)
 _VERB_MAX_N = {
-    "center": (3, 0),
+    "center": (4, 0),
     "nakayama": (3, 0),
     "dims": (7, 0),
     "dual": (12, 0),
@@ -411,6 +418,38 @@ def test_cli_product_guard_lets_a_cancelling_commutator_print(capsys):
         assert cli_main(["mul", "--n", "1", "x1^400*d1^400", "x1^400*d1^400"]) == 1
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def _exchange_powers(verb, n, kind="B"):
+    return [verb, "--n", str(n), "--algebra", kind,
+            "*".join(f"d{i}^9" for i in range(1, n + 1)), "*".join(f"x{i}^9" for i in range(1, n + 1))]
+
+
+@pytest.mark.parametrize("verb", ["mul", "comm"])
+def test_cli_refuses_a_product_of_too_many_terms_before_building_it(capsys, monkeypatch, verb):
+    from weylkit import pbw
+
+    def never(*args):
+        raise AssertionError("a term pair was multiplied")
+
+    monkeypatch.setattr(pbw, "_mul_monomials", never)
+    # 10^8 terms; at n = 5 the 10^5 of them took 2.9 s and 111 MB, and each n is 10x more
+    start = time.perf_counter()
+    assert cli_main(_exchange_powers(verb, 8)) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: the product would build more than 100000 terms\n"
+
+
+def test_cli_term_guard_counts_what_multiply_builds(capsys, monkeypatch):
+    from weylkit import cli
+
+    monkeypatch.setattr(cli, "_MAX_PRODUCT_TERMS", 1000)
+    assert cli_main(_exchange_powers("mul", 3)) == 0  # exactly 10^3 terms
+    assert capsys.readouterr().out.count(" + ") == 999
+    assert cli_main(_exchange_powers("comm", 3)) == 1  # b*a builds one more
+    assert capsys.readouterr().err.startswith("error:")
+    assert cli_main(_exchange_powers("mul", 8, "C")) == 0  # nothing exchanges in C
+    assert capsys.readouterr().out.count("*") == 15
 
 
 def test_cli_parser_is_reused_with_fresh_defaults(capsys, monkeypatch):
