@@ -17,11 +17,11 @@ from math import prod
 from typing import Callable, NamedTuple
 
 from .errors import ExpressionTooLarge, UnsupportedN, WeylkitError
-from .expressions import GRAMMAR, parse, render
+from .expressions import GRAMMAR, evaluate, render
 from .generators import AlgebraKind
-from .pbw import basis_of_degree, centralizer_in_degree, graded_degree, least_partial_part, normal_form
+from .pbw import basis_of_degree, centralizer_in_degree, graded_degree, least_partial_part
 from .quadratic import dual_presentation, relation_text, relations_of
-from .shriek import degree_dimensions, nakayama, reduce_expression
+from .shriek import degree_dimensions, nakayama
 from .localization import (
     dehomogenize,
     make,
@@ -66,14 +66,8 @@ def _budget(text: str) -> int:
     return value
 
 
-def _element(text: str, n: int, kind: AlgebraKind):
-    """Parse ``text`` and reduce it to its canonical form in ``kind``."""
-    expr = parse(text, n, kind)
-    return reduce_expression(expr, kind) if kind.is_shriek else normal_form(expr, kind)
-
-
 def _nf(args) -> None:
-    print(render(_element(args.expr[0], args.n, args.algebra), args.format))
+    print(render(evaluate(args.expr[0], args.n, args.algebra), args.format))
 
 
 # mul --n 5 "d1^9*...*d5^9" "x1^9*...*x5^9" builds 100 000 terms: 2.9 s, 111 MB RSS, 7.5 MB
@@ -123,7 +117,7 @@ def _refuse_unprintable(a, b, comm: bool) -> None:
 
 
 def _product(args) -> None:
-    a, b = (_element(text, args.n, args.algebra) for text in args.expr)
+    a, b = (evaluate(text, args.n, args.algebra) for text in args.expr)
     comm = args.verb == "comm"
     if not args.algebra.is_shriek:
         _refuse_too_many_terms(a, b, comm)
@@ -194,21 +188,21 @@ def _nakayama(args) -> None:
 
 
 def _homogenize(args) -> None:
-    print(render_localized(theta_inverse(_element(args.expr[0], args.n, A)), args.format))
+    print(render_localized(theta_inverse(evaluate(args.expr[0], args.n, A)), args.format))
 
 
 def _dehomogenize(args) -> None:
-    print(render(dehomogenize(_element(args.expr[0], args.n, B)), args.format))
+    print(render(dehomogenize(evaluate(args.expr[0], args.n, B)), args.format))
 
 
 def _theta(args) -> None:
-    num = _element(args.expr[0], args.n, B)
+    num = evaluate(args.expr[0], args.n, B)
     zpow = 0 if num.is_zero() else graded_degree(num)
     print(render(theta(make(num, zpow)), args.format))
 
 
 def _mu(args) -> None:
-    print(render_localized(mu(_element(args.expr[0], args.n, A), args.t), args.format))
+    print(render_localized(mu(evaluate(args.expr[0], args.n, A), args.t), args.format))
 
 
 def _verify(args) -> int:
@@ -238,9 +232,10 @@ class _Verb(NamedTuple):
 _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 
 # Process wall times at the caps.  Expression verbs: every monomial holds two length-n
-# exponent vectors, so cost grows linearly in n (nf "(x1+d1+z)^4" 9 ms at n = 1 000, 0.7 s at
-# n = 100 000, in-process); at --n 1000, nf "(x1+d1+z)^8" takes 2.5 s (1.3 s at n = 1) and mul
-# of two of them 6.4 s (2.2 s).  dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 4 1.3-1.4 s,
+# exponent vectors, so each term pair of a product costs O(n), and cost grows linearly in n
+# (in-process, nf "(x1+d1+z)^8" takes 0.09 s at n = 1 000 and 4 ms at n = 1, mul of two of
+# them 1.9 s and 0.05 s); at --n 1000, nf "(x1+d1+z)^8" takes 0.27 s (0.15 s at n = 1) and
+# mul of two of them 2.4 s (0.19 s).  dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 4 1.3-1.4 s,
 # dual --n 12 1.4 s, nakayama --n 3 1.1 s with --json; these grow fast with n.  verify takes
 # the largest suite cap; ``verify all`` runs each suite up to its own SUITE_MAX_N.
 _EXPR_MAX_N = 1000

@@ -1,5 +1,11 @@
 """Text and JSON frontend for algebra elements.
 
+Two routes read the same grammar.  ``evaluate`` computes the element a
+text denotes with the algebra's own arithmetic, and the CLI verbs use it.
+``parse`` expands the text into free words, which ``pbw.normal_form`` and
+``shriek.reduce_expression`` rewrite; that literal route is the oracle the
+tests check ``evaluate`` against.
+
 ``GRAMMAR`` is the input grammar (EBNF).  Multiplication is always
 explicit (``x1*d1``), exponents are nonnegative integers, rationals are
 written ``p/q``, and unary minus binds looser than ``*``.  Tokens are
@@ -12,12 +18,16 @@ most ``sys.get_int_max_str_digits()`` digits (else ExpressionTooLarge).
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 from .errors import ExpressionTooLarge, IndexOutOfRange, ParseError
 from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
+from .pbw import AlgebraElement
+from .shriek import ShriekElement
 
 GRAMMAR = """\
 expr     := term (('+'|'-') term)*
@@ -69,24 +79,65 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+class _Build(NamedTuple):
+    """What a walk of the grammar builds from atoms: the sums, negations,
+    products and powers default to the values' own operators."""
+
+    generator: Callable[[Generator], Any]
+    constant: Callable[[Fraction], Any]
+    add: Callable[[Any, Any], Any] = operator.add
+    neg: Callable[[Any], Any] = operator.neg
+    mul: Callable[[Any, Any], Any] = operator.mul
+    pow: Callable[[Any, int], Any] = operator.pow
+
+
 def _times(a: _Terms, b: _Terms) -> _Terms:
     """The product of two sums of words, in lexicographic order of the factors."""
     return [(c1 * c2, w1 + w2) for c1, w1 in a for c2, w2 in b]
 
 
-def _width(terms: _Terms) -> int:
+def _power(base: _Terms, e: int) -> _Terms:
+    out: _Terms = [(Fraction(1), ())]
+    for bit in bin(e)[2:]:  # square and multiply: linear, not quadratic, in e
+        out = _times(out, out)
+        if bit == "1":
+            out = _times(out, base)
+    return out
+
+
+# The literal route: the free expansion, one word per path through the sums.
+_FREE_WORDS = _Build(
+    generator=lambda g: [(Fraction(1), (g,))],
+    constant=lambda c: [(c, ())],
+    neg=lambda terms: [(-c, w) for c, w in terms],
+    mul=_times,
+    pow=_power,
+)
+
+
+def _width(longest: int) -> int:
     """The longest word, counting a bare coefficient as one letter."""
-    return max(max(len(w) for _, w in terms), 1)
+    return max(longest, 1)
 
 
 class _Parser:
-    def __init__(self, text: str, n: int, kind: AlgebraKind):
+    """Recursive descent over ``GRAMMAR`` that builds with ``build``.
+
+    Each rule returns (value, terms, longest): the value built, and the
+    term count and longest word of the text's free expansion.  Counts add
+    under '+', multiply under '*' and are raised to the power k under '^',
+    so the pair is exact whatever is built, and every route refuses the
+    same texts with the same errors.
+    """
+
+    def __init__(self, text: str, n: int, kind: AlgebraKind, build: _Build):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.n = n
         self.kind = kind
+        self.build = build
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -107,38 +158,38 @@ class _Parser:
     def too_large(self, at: int):
         raise ExpressionTooLarge(f"the product at position {at} expands to more than {_MAX_FREE_SIZE} letters")
 
-    def parse(self) -> _Terms:
-        terms = self.expr()
+    def parse(self):
+        value, _, _ = self.expr()
         if self.peek() is not None:
             self.fail({"'+'", "'-'", "'*'", "'^'", "end of input"})
-        return terms
+        return value
 
-    def expr(self) -> _Terms:
-        terms = self.term()
+    def expr(self):
+        value, terms, longest = self.term()
         while True:
             op = self.eat_op("+", "-")
             if op is None:
-                return terms
-            rhs = self.term()
-            if op == "-":
-                rhs = [(-c, w) for c, w in rhs]
-            terms = terms + rhs
+                return value, terms, longest
+            rhs, rterms, rlongest = self.term()
+            value = self.build.add(value, self.build.neg(rhs) if op == "-" else rhs)
+            terms, longest = terms + rterms, max(longest, rlongest)
 
-    def term(self) -> _Terms:
+    def term(self):
         negate = False
         while self.eat_op("-"):  # a loop, not recursion: "- - ... x1" may be long
             negate = not negate
-        terms = self.factor()
+        value, terms, longest = self.factor()
         while self.eat_op("*"):
             at = self.tokens[self.pos - 1][2]
-            rhs = self.factor()
-            if len(terms) * len(rhs) * (_width(terms) + _width(rhs)) > _MAX_FREE_SIZE:
+            rhs, rterms, rlongest = self.factor()
+            if terms * rterms * (_width(longest) + _width(rlongest)) > _MAX_FREE_SIZE:
                 self.too_large(at)
-            terms = _times(terms, rhs)
-        return [(-c, w) for c, w in terms] if negate else terms
+            value = self.build.mul(value, rhs)
+            terms, longest = terms * rterms, longest + rlongest
+        return (self.build.neg(value) if negate else value), terms, longest
 
-    def factor(self) -> _Terms:
-        base = self.atom()
+    def factor(self):
+        value, terms, longest = self.atom()
         if self.eat_op("^"):
             at = self.tokens[self.pos - 1][2]
             tok = self.peek()
@@ -146,19 +197,14 @@ class _Parser:
                 self.fail({"nonnegative integer exponent"})
             self.pos += 1
             e = int(tok[1])
-            length = e * _width(base)
-            # once the length alone is too large, len(base) ** e is never formed
-            if length > _MAX_FREE_SIZE or len(base) ** e * length > _MAX_FREE_SIZE:
+            length = e * _width(longest)
+            # once the length alone is too large, terms ** e is never formed
+            if length > _MAX_FREE_SIZE or terms**e * length > _MAX_FREE_SIZE:
                 self.too_large(at)
-            out: _Terms = [(Fraction(1), ())]
-            for bit in bin(e)[2:]:  # square and multiply: linear, not quadratic, in e
-                out = _times(out, out)
-                if bit == "1":
-                    out = _times(out, base)
-            return out
-        return base
+            return self.build.pow(value, e), terms**e, e * longest
+        return value, terms, longest
 
-    def atom(self) -> _Terms:
+    def atom(self):
         tok = self.peek()
         if tok is None:
             self.fail({"variable", "number", "'('"})
@@ -174,7 +220,7 @@ class _Parser:
                     raise IndexOutOfRange(f"variable index must be at least 1, got {value}")
                 g = Generator(value[0], index)
             g.check(self.n, self.kind)
-            return [(Fraction(1), (g,))]
+            return self.build.generator(g), 1, 1
         if kind == "NAT":
             self.pos += 1
             num = int(value)
@@ -183,8 +229,8 @@ class _Parser:
                 if den_tok is None or den_tok[0] != "NAT" or int(den_tok[1]) == 0:
                     self.fail({"nonzero denominator"})
                 self.pos += 1
-                return [(Fraction(num, int(den_tok[1])), ())]
-            return [(Fraction(num), ())]
+                return self.build.constant(Fraction(num, int(den_tok[1]))), 1, 0
+            return self.build.constant(Fraction(num)), 1, 0
         if value == "(":
             if self.depth == _MAX_DEPTH:
                 self.fail({f"at most {_MAX_DEPTH} nested '('"})
@@ -202,15 +248,39 @@ def parse(text: str, n: int, kind: AlgebraKind | str) -> FreeExpression:
     """Parse ``text`` into a raw free-algebra expression.
 
     Validates indices against ``n`` and z-legality against ``kind``; does
-    no algebraic simplification beyond rational normalization.
+    no algebraic simplification beyond rational normalization.  This is
+    the literal route, which ``pbw.normal_form`` and
+    ``shriek.reduce_expression`` finish by rewriting.
 
     >>> str(parse("3/2 * z * x2", 2, "B"))
     '3/2*z*x2'
     """
     if isinstance(kind, str):
         kind = AlgebraKind.from_string(kind)
-    terms = _Parser(text, n, kind).parse()
-    return FreeExpression.from_terms(n, terms)
+    return FreeExpression.from_terms(n, _Parser(text, n, kind, _FREE_WORDS).parse())
+
+
+def evaluate(text: str, n: int, kind: AlgebraKind | str) -> SparseElement:
+    """The canonical element ``text`` denotes in ``kind``.
+
+    Walks the grammar as ``parse`` does and refuses the same texts with the
+    same errors, but builds elements with the algebra's own arithmetic:
+    the closed-form ``multiply`` for A, B and C, the word-pair product
+    table for B! and C!, and square and multiply for powers.  It equals
+    the normal form of ``parse(text, n, kind)``.
+
+    >>> str(evaluate("d1*x1", 1, "B"))
+    'x1*d1 + z^2'
+    """
+    if isinstance(kind, str):
+        kind = AlgebraKind.from_string(kind)
+    if kind.is_shriek:
+        one = ShriekElement.one(n, kind)
+        build = _Build(lambda g: ShriekElement.generator(n, g, kind), one.scaled)
+    else:
+        one = AlgebraElement.one(kind, n)
+        build = _Build(lambda g: AlgebraElement.generator(kind, n, g), one.scaled)
+    return _Parser(text, n, kind, build).parse()
 
 
 # -- rendering -----------------------------------------------------------------

@@ -143,10 +143,11 @@ class SparseElement:
     monomials) and :class:`weylkit.shriek.ShriekElement` (keys are
     square-free words).  Construction drops zero coefficients, so the
     arithmetic below may leave zeros in the dicts it builds.  A subclass
-    supplies ``_check_keys``, ``_check_compatible`` and ``_times`` (its
-    module's ``multiply``); a key supplies ``degree`` and, given the pair
-    count, ``term_key``, ``word_str`` and ``json_fields``.  Two elements
-    are equal iff kind, n and the coefficient maps agree.
+    supplies ``_check_keys``, ``_check_compatible``, ``_times`` (its
+    module's ``multiply``) and ``_one`` (the unit); a key supplies
+    ``degree`` and, given the pair count, ``term_key``, ``word_str`` and
+    ``json_fields``.  Two elements are equal iff kind, n and the
+    coefficient maps agree.
     """
 
     __slots__ = ("kind", "n", "coeffs")
@@ -223,6 +224,19 @@ class SparseElement:
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         return NotImplemented
+
+    def __pow__(self, k: int):
+        """Square and multiply: at most 2 log2(k) products."""
+        if k < 0:
+            raise ValueError("negative powers are not defined here")
+        if k == 0:
+            return self._one()
+        out = self
+        for bit in bin(k)[3:]:  # the leading 1 is ``self``
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
 
     def _bilinear(self, other, basis_product):
         """Bilinear extension of ``basis_product(u, v, kind, n)``.

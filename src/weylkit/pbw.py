@@ -182,13 +182,8 @@ class AlgebraElement(SparseElement):
     def _times(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
 
-    def __pow__(self, k: int) -> "AlgebraElement":
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        out = AlgebraElement.one(self.kind, self.n)
-        for _ in range(k):
-            out = multiply(out, self)
-        return out
+    def _one(self) -> "AlgebraElement":
+        return AlgebraElement.one(self.kind, self.n)
 
 
 # -- the rewriting kernel ----------------------------------------------------

@@ -161,6 +161,9 @@ class ShriekElement(SparseElement):
     def _times(self, other: "ShriekElement") -> "ShriekElement":
         return multiply(self, other)
 
+    def _one(self) -> "ShriekElement":
+        return ShriekElement.one(self.n, self.kind)
+
 
 # -- basis enumeration ---------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from weylkit import linalg
+from weylkit import linalg, pbw
 
 
 @pytest.fixture
@@ -17,3 +17,17 @@ def eliminations(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
     return runs
+
+
+@pytest.fixture
+def rewrite_steps(monkeypatch):
+    """Records each word the default strategy rewrites: one leftmost-redex search per word."""
+    words = []
+    inner = pbw._leftmost_redex
+
+    def counting(ranks):
+        words.append(ranks)
+        return inner(ranks)
+
+    monkeypatch.setattr(pbw, "_leftmost_redex", counting)
+    return words

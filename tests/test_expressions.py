@@ -1,5 +1,6 @@
 """Parser and renderer tests, including the parse/render round trip."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,15 @@ from weylkit import (
     IndexOutOfRange,
     ParseError,
     PBWMonomial,
+    ShriekElement,
     WeylkitError,
+    evaluate,
     normal_form,
     parse,
+    reduce_expression,
     render,
 )
+from weylkit.verify import random_element, random_shriek
 
 B = AlgebraKind.B
 A = AlgebraKind.A
@@ -211,3 +216,80 @@ def test_render_injective(e1, e2):
     if e1 != e2:
         assert render(e1, "text") != render(e2, "text")
         assert render(e1, "json") != render(e2, "json")
+
+
+# -- evaluate: the tree route the CLI takes, against the literal route ---------
+
+KINDS = list(AlgebraKind)
+
+
+def _random(rng, kind, n):
+    if not kind.is_shriek:
+        return random_element(rng, kind, n)
+    return ShriekElement(n, random_shriek(rng, n).coeffs, kind)
+
+
+def _literal(text, n, kind):
+    expr = parse(text, n, kind)
+    return reduce_expression(expr, kind) if kind.is_shriek else normal_form(expr, kind)
+
+
+def _random_text(rng, kind, n, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return f"({render(_random(rng, kind, n))})"
+    op = rng.choice("+-*^")
+    if op == "^":
+        return f"({_random_text(rng, kind, n, depth - 1)})^{rng.randint(0, 3)}"
+    return f"{_random_text(rng, kind, n, depth - 1)} {op} {_random_text(rng, kind, n, depth - 1)}"
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_power_is_repeated_multiplication(kind):
+    rng = random.Random(17)
+    for _ in range(10):
+        n = rng.choice([1, 2])
+        e = _random(rng, kind, n)
+        product = e._one()
+        for k in range(7):
+            assert e**k == product
+            product = product * e
+    with pytest.raises(ValueError):
+        e ** -1
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_evaluate_equals_the_literal_route(kind):
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.choice([1, 2])
+        text = _random_text(rng, kind, n, 3)
+        assert evaluate(text, n, kind) == _literal(text, n, kind), text
+
+
+def _outcome(route, text, n, kind):
+    try:
+        return route(text, n, kind)
+    except WeylkitError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text, n, kind",
+    [
+        ("x1 + " + "(" * 101 + "x1" + ")" * 101, 1, B),
+        ("z^10000000", 1, B),
+        ("(x1+d1+z)^12", 1, B),
+        ("(x1+d1)^9*(x1+d1)^9", 1, AlgebraKind.B_SHRIEK),
+        ("x3*d1", 2, B),
+        ("x0", 2, AlgebraKind.C_SHRIEK),
+        ("z * x1", 1, A),
+        ("1" * 4400 + "*x1", 1, B),
+        ("x1 + * d1", 1, B),
+        ("(x1 + d1", 1, A),
+        ("1/0", 1, AlgebraKind.C),
+    ],
+)
+def test_evaluate_refuses_what_the_literal_route_refuses(text, n, kind):
+    got = _outcome(evaluate, text, n, kind)
+    assert isinstance(got, tuple)
+    assert got == _outcome(_literal, text, n, kind)

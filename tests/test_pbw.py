@@ -277,20 +277,6 @@ def test_confluence_random_orders():
             assert word_normal_form(w, kind, n, rng=rng) == ref
 
 
-@pytest.fixture
-def rewrite_steps(monkeypatch):
-    """Records each word the default strategy rewrites: one leftmost-redex search per word."""
-    words = []
-    inner = pbw._leftmost_redex
-
-    def counting(ranks):
-        words.append(ranks)
-        return inner(ranks)
-
-    monkeypatch.setattr(pbw, "_leftmost_redex", counting)
-    return words
-
-
 @pytest.mark.parametrize(
     "text, n, steps",
     [

@@ -429,15 +429,32 @@ def _exchange_powers(verb, n, kind="B"):
 def test_cli_refuses_a_product_of_too_many_terms_before_building_it(capsys, monkeypatch, verb):
     from weylkit import pbw
 
-    def never(*args):
-        raise AssertionError("a term pair was multiplied")
+    multiply_pair = pbw._mul_monomials
 
-    monkeypatch.setattr(pbw, "_mul_monomials", never)
+    def operands_only(m1, m2, kind, n):
+        # building each operand multiplies smaller monomials; a term pair of
+        # the refused product pairs the two whole operands, both of degree 72
+        if m1.degree == m2.degree == 72:
+            raise AssertionError("a term pair of the product was multiplied")
+        return multiply_pair(m1, m2, kind, n)
+
+    monkeypatch.setattr(pbw, "_mul_monomials", operands_only)
     # 10^8 terms; at n = 5 the 10^5 of them took 2.9 s and 111 MB, and each n is 10x more
     start = time.perf_counter()
     assert cli_main(_exchange_powers(verb, 8)) == 1
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == "error: the product would build more than 100000 terms\n"
+
+
+@pytest.mark.parametrize("q, p", [(9, 99), (1, 200)])
+def test_cli_nf_evaluates_a_product_without_rewriting(capsys, rewrite_steps, q, p):
+    # rewriting d1^9*x1^99 took 262 450 steps (2-3 s), and d1*x1^200 20 301
+    from weylkit import AlgebraElement, AlgebraKind, Generator, multiply, render
+
+    d1, x1 = (AlgebraElement.generator(AlgebraKind.B, 1, g) for g in (Generator.d(1), Generator.x(1)))
+    assert cli_main(["nf", "--n", "1", f"d1^{q}*x1^{p}"]) == 0
+    assert rewrite_steps == []
+    assert capsys.readouterr().out == render(multiply(d1**q, x1**p)) + "\n"
 
 
 def test_cli_term_guard_counts_what_multiply_builds(capsys, monkeypatch):
