@@ -13,13 +13,12 @@ import argparse
 import json
 import sys
 import textwrap
-from math import prod
 from typing import Callable, NamedTuple
 
-from .errors import ExpressionTooLarge, UnsupportedN, WeylkitError
-from .expressions import GRAMMAR, evaluate, render
+from .errors import UnsupportedN, WeylkitError
+from .expressions import GRAMMAR, bounded_product, evaluate, render
 from .generators import AlgebraKind
-from .pbw import basis_of_degree, centralizer_in_degree, graded_degree, least_partial_part
+from .pbw import basis_of_degree, centralizer_in_degree, graded_degree
 from .quadratic import dual_presentation, relation_text, relations_of
 from .shriek import degree_dimensions, nakayama
 from .localization import (
@@ -43,7 +42,7 @@ from .verify import (
 _EXAMPLES = 'examples: "d1*x1 - x1*d1 - z^2", "3/2 * z * x2", "(x1+d1)^2"\n'
 GRAMMAR_HELP = "expression grammar:\n" + textwrap.indent(GRAMMAR, "  ") + _EXAMPLES
 
-A, B, C = AlgebraKind.A, AlgebraKind.B, AlgebraKind.C
+A, B = AlgebraKind.A, AlgebraKind.B
 
 
 def _positive_int(text: str) -> int:
@@ -70,59 +69,9 @@ def _nf(args) -> None:
     print(render(evaluate(args.expr[0], args.n, args.algebra), args.format))
 
 
-# mul --n 5 "d1^9*...*d5^9" "x1^9*...*x5^9" builds 100 000 terms: 2.9 s, 111 MB RSS, 7.5 MB
-# printed, in-process; with d5^19 and x5^19 instead, 200 000 terms took 7.3 s and 209 MB
-_MAX_PRODUCT_TERMS = 100_000
-
-
-def _refuse_too_many_terms(a, b, comm: bool) -> None:
-    """Refuse ``a * b`` (and ``b * a`` if ``comm``) before it is built when
-    ``multiply`` would build more than ``_MAX_PRODUCT_TERMS`` terms.
-
-    A term pair builds prod_i (min(q_i, p_i) + 1) terms, q the d-exponents
-    of its left monomial and p the x-exponents of its right one; kind C
-    exchanges nothing and builds one.  Counting stops at the cap.
-    """
-    built = 0
-    for left, right in ((a, b), (b, a)) if comm else ((a, b),):
-        for m1 in left.coeffs:
-            for m2 in right.coeffs:
-                built += 1 if a.kind is C else prod(min(q, p) + 1 for q, p in zip(m1.dexps, m2.xexps))
-                if built > _MAX_PRODUCT_TERMS:
-                    raise ExpressionTooLarge(f"the product would build more than {_MAX_PRODUCT_TERMS} terms")
-
-
-def _refuse_unprintable(a, b, comm: bool) -> None:
-    """Refuse ``a * b`` (``a * b - b * a`` if ``comm``) before it is built when
-    a coefficient of it has more digits than ``render`` can print.
-
-    The part of least partial degree is exact and costs one term per term
-    pair, so a refused product would have been refused by ``render``.
-    """
-    digits = sys.get_int_max_str_digits()  # 0: no limit
-    if not digits:
-        return
-    p, low = least_partial_part(a, b)
-    if p is None:
-        return
-    if comm:  # the part of a*b - b*a in degree min(p, q)
-        q, high = least_partial_part(b, a)
-        if q < p:
-            low = high
-        elif q == p:
-            low = low - high
-    bound = 10**digits
-    if any(abs(c.numerator) >= bound or c.denominator >= bound for c in low.coeffs.values()):
-        raise ExpressionTooLarge(f"a coefficient has more than {digits} digits")
-
-
 def _product(args) -> None:
     a, b = (evaluate(text, args.n, args.algebra) for text in args.expr)
-    comm = args.verb == "comm"
-    if not args.algebra.is_shriek:
-        _refuse_too_many_terms(a, b, comm)
-        _refuse_unprintable(a, b, comm)
-    print(render(a * b - b * a if comm else a * b, args.format))
+    print(render(bounded_product(a, b, args.verb == "comm"), args.format))
 
 
 def _dims(args) -> None:
@@ -231,11 +180,11 @@ class _Verb(NamedTuple):
 
 _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 
-# Process wall times at the caps.  Expression verbs: every monomial holds two length-n
-# exponent vectors, so each term pair of a product costs O(n), and cost grows linearly in n
-# (in-process, nf "(x1+d1+z)^8" takes 0.09 s at n = 1 000 and 4 ms at n = 1, mul of two of
-# them 1.9 s and 0.05 s); at --n 1000, nf "(x1+d1+z)^8" takes 0.27 s (0.15 s at n = 1) and
-# mul of two of them 2.4 s (0.19 s).  dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 4 1.3-1.4 s,
+# Process wall times at the caps.  Expression verbs: a term costs O(n), as every monomial
+# holds two length-n exponent vectors, so no product builds more than 100 000 terms, and past
+# n = 5 no more than 500 000 / n (expressions.bounded_product); at --n 1000, nf "(x1+d1+z)^8"
+# takes 0.23-0.26 s (0.14-0.17 s at n = 1), and mul of two of them is refused in 0.35-0.41 s
+# (it prints in 0.19-0.21 s at n = 1).  dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 4 1.3-1.4 s,
 # dual --n 12 1.4 s, nakayama --n 3 1.1 s with --json; these grow fast with n.  verify takes
 # the largest suite cap; ``verify all`` runs each suite up to its own SUITE_MAX_N.
 _EXPR_MAX_N = 1000

@@ -10,9 +10,14 @@ tests check ``evaluate`` against.
 explicit (``x1*d1``), exponents are nonnegative integers, rationals are
 written ``p/q``, and unary minus binds looser than ``*``.  Tokens are
 case-insensitive and ASCII-only.  Parentheses nest at most
-``_MAX_DEPTH`` deep, and no product may expand to more than
-``_MAX_FREE_SIZE`` letters of free words.  Numbers read or printed have at
+``_MAX_DEPTH`` deep.  Numbers read, printed or built by a product have at
 most ``sys.get_int_max_str_digits()`` digits (else ExpressionTooLarge).
+
+``evaluate`` builds every product, and every square and multiply step of a
+power, with ``bounded_product``, which bounds the product's term count and
+coefficients before building it; ``parse`` refuses a product of free words
+longer than ``_MAX_FREE_SIZE`` letters in all.  Both add the summands of a
+sum in pairs.
 """
 
 from __future__ import annotations
@@ -22,11 +27,12 @@ import operator
 import re
 import sys
 from fractions import Fraction
+from itertools import product
 from typing import Any, Callable, NamedTuple
 
 from .errors import ExpressionTooLarge, IndexOutOfRange, ParseError
-from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
-from .pbw import AlgebraElement
+from .generators import AlgebraKind, FreeExpression, Generator, SparseElement, power
+from .pbw import AlgebraElement, least_partial_part
 from .shriek import ShriekElement
 
 GRAMMAR = """\
@@ -42,9 +48,15 @@ RATIONAL := NAT ('/' NAT)?
 _MAX_DEPTH = 100
 
 # Letters in the free expansion of one product: terms times the longest
-# word, where a bare coefficient counts as one letter.  The largest input
-# the tests, demos and benchmark use, (x1+d1+z)^8, is 6561 words of length 8.
+# word.  The largest input the tests, demos and benchmark use,
+# (x1+d1+z)^8, is 6561 words of length 8.
 _MAX_FREE_SIZE = 100_000
+
+# mul --n 5 "d1^9*...*d5^9" "x1^9*...*x5^9" builds 100 000 terms: 2.9 s, 111 MB RSS, 7.5 MB
+# printed, in-process; with d5^19 and x5^19 instead, 200 000 terms took 7.3 s and 209 MB.
+# A term holds two length-n exponent tuples, so past n = 5 the cap falls as 5/n: a product
+# builds at most 62 500 terms at n = 8 and 500 at n = 1000.
+_MAX_PRODUCT_TERMS = 100_000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<VAR>[xdXD][0-9]+|[zZ])|(?P<NAT>[0-9]+)|(?P<OP>[-+*^/()]))"
@@ -79,29 +91,86 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _refuse_unprintable(coeffs) -> None:
+    """Refuse when one of ``coeffs`` has more digits than ``render`` can print."""
+    digits = sys.get_int_max_str_digits()  # 0 means no limit
+    short = 3 * digits  # 2^(3 digits) < 10^digits: a coefficient this short prints
+    if digits and any(c.numerator.bit_length() > short or c.denominator.bit_length() > short for c in coeffs):
+        bound = 10**digits
+        if any(abs(c.numerator) >= bound or c.denominator >= bound for c in coeffs):
+            raise ExpressionTooLarge(f"a coefficient has more than {digits} digits")
+
+
+def bounded_product(a: SparseElement, b: SparseElement, comm: bool = False) -> SparseElement:
+    """``a * b``, or ``a * b - b * a`` if ``comm``, unless it is too large (ExpressionTooLarge).
+
+    Refused before it is built past ``_MAX_PRODUCT_TERMS * 5 // max(n, 5)``
+    terms, counted up to the cap: a term pair of A or B builds
+    prod_i (min(q_i, p_i) + 1), q the d-exponents of its left monomial and p
+    the x-exponents of its right one; a pair of z-words in B! up to n words,
+    as z^2 = -(x_1 d_1 + .. + x_n d_n); any other pair one.  Refused, too,
+    when a coefficient cannot be printed: after it is built, and before if
+    its exact part of least partial degree (one term per term pair) shows
+    one, computed only when an exchange factor k! C(q, k) C(p, k) <= (q p)^k
+    may exceed 3 * digits bits.
+    """
+    cap = _MAX_PRODUCT_TERMS * 5 // max(a.n, 5)
+    built = bits = 0
+    for left, right in ((a, b), (b, a)) if comm else ((a, b),):
+        if a.kind in (AlgebraKind.A, AlgebraKind.B):
+            exchanged = [[(i, q) for i, q in enumerate(m.dexps) if q] for m in left.coeffs]
+            for qs, m2 in product(exchanged, right.coeffs):
+                terms, width = 1, 0
+                for i, q in qs:
+                    if p := m2.xexps[i]:
+                        k = min(q, p)
+                        terms *= k + 1
+                        width += k * (q.bit_length() + p.bit_length())
+                built += terms
+                bits = max(bits, width)
+                if built > cap:
+                    break
+        else:
+            built += len(left.coeffs) * len(right.coeffs)
+            if a.kind is AlgebraKind.B_SHRIEK:
+                built += (a.n - 1) * sum(w.zflag for w in left.coeffs) * sum(w.zflag for w in right.coeffs)
+        if built > cap:
+            raise ExpressionTooLarge(f"the product would build more than {cap} terms")
+    digits = sys.get_int_max_str_digits()  # 0 means no limit
+    if digits and bits > 3 * digits:
+        degree, low = least_partial_part(a, b)
+        if comm:  # the part of a*b - b*a in degree min(degree, other)
+            other, high = least_partial_part(b, a)
+            if other < degree:
+                low = high
+            elif other == degree:
+                low = low - high
+        _refuse_unprintable(low.coeffs.values())
+    out = a * b - b * a if comm else a * b
+    _refuse_unprintable(out.coeffs.values())
+    return out
+
+
 class _Build(NamedTuple):
-    """What a walk of the grammar builds from atoms: the sums, negations,
-    products and powers default to the values' own operators."""
+    """What a walk of the grammar builds from atoms, with ``one`` the unit of
+    ``mul``: sums, negations and products default to the values' own operators."""
 
     generator: Callable[[Generator], Any]
     constant: Callable[[Fraction], Any]
+    one: Any
     add: Callable[[Any, Any], Any] = operator.add
     neg: Callable[[Any], Any] = operator.neg
     mul: Callable[[Any, Any], Any] = operator.mul
-    pow: Callable[[Any, int], Any] = operator.pow
 
 
 def _times(a: _Terms, b: _Terms) -> _Terms:
     """The product of two sums of words, in lexicographic order of the factors."""
-    return [(c1 * c2, w1 + w2) for c1, w1 in a for c2, w2 in b]
-
-
-def _power(base: _Terms, e: int) -> _Terms:
-    out: _Terms = [(Fraction(1), ())]
-    for bit in bin(e)[2:]:  # square and multiply: linear, not quadratic, in e
-        out = _times(out, out)
-        if bit == "1":
-            out = _times(out, base)
+    # a bare coefficient counts one letter, so sums of constants are bounded too
+    letters = len(a) * len(b) * (max(len(w) or 1 for _, w in a) + max(len(w) or 1 for _, w in b))
+    if letters > _MAX_FREE_SIZE:
+        raise ExpressionTooLarge(f"a product expands to more than {_MAX_FREE_SIZE} letters")
+    out = [(c1 * c2, w1 + w2) for c1, w1 in a for c2, w2 in b]
+    _refuse_unprintable([c for c, _ in out])
     return out
 
 
@@ -109,26 +178,14 @@ def _power(base: _Terms, e: int) -> _Terms:
 _FREE_WORDS = _Build(
     generator=lambda g: [(Fraction(1), (g,))],
     constant=lambda c: [(c, ())],
+    one=[(Fraction(1), ())],
     neg=lambda terms: [(-c, w) for c, w in terms],
     mul=_times,
-    pow=_power,
 )
 
 
-def _width(longest: int) -> int:
-    """The longest word, counting a bare coefficient as one letter."""
-    return max(longest, 1)
-
-
 class _Parser:
-    """Recursive descent over ``GRAMMAR`` that builds with ``build``.
-
-    Each rule returns (value, terms, longest): the value built, and the
-    term count and longest word of the text's free expansion.  Counts add
-    under '+', multiply under '*' and are raised to the power k under '^',
-    so the pair is exact whatever is built, and every route refuses the
-    same texts with the same errors.
-    """
+    """Recursive descent over ``GRAMMAR`` that builds with ``build``."""
 
     def __init__(self, text: str, n: int, kind: AlgebraKind, build: _Build):
         self.text = text
@@ -155,54 +212,41 @@ class _Parser:
             return tok[1]
         return None
 
-    def too_large(self, at: int):
-        raise ExpressionTooLarge(f"the product at position {at} expands to more than {_MAX_FREE_SIZE} letters")
-
     def parse(self):
-        value, _, _ = self.expr()
+        value = self.expr()
         if self.peek() is not None:
             self.fail({"'+'", "'-'", "'*'", "'^'", "end of input"})
         return value
 
     def expr(self):
-        value, terms, longest = self.term()
-        while True:
-            op = self.eat_op("+", "-")
-            if op is None:
-                return value, terms, longest
-            rhs, rterms, rlongest = self.term()
-            value = self.build.add(value, self.build.neg(rhs) if op == "-" else rhs)
-            terms, longest = terms + rterms, max(longest, rlongest)
+        summands = [self.term()]
+        while op := self.eat_op("+", "-"):
+            rhs = self.term()
+            summands.append(self.build.neg(rhs) if op == "-" else rhs)
+        # add in pairs: a sum of k summands then copies k log k terms, not k^2 / 2
+        while len(summands) > 1:
+            pairs = zip(summands[::2], summands[1::2])
+            summands = [self.build.add(u, v) for u, v in pairs] + summands[len(summands) & ~1:]
+        return summands[0]
 
     def term(self):
         negate = False
         while self.eat_op("-"):  # a loop, not recursion: "- - ... x1" may be long
             negate = not negate
-        value, terms, longest = self.factor()
+        value = self.factor()
         while self.eat_op("*"):
-            at = self.tokens[self.pos - 1][2]
-            rhs, rterms, rlongest = self.factor()
-            if terms * rterms * (_width(longest) + _width(rlongest)) > _MAX_FREE_SIZE:
-                self.too_large(at)
-            value = self.build.mul(value, rhs)
-            terms, longest = terms * rterms, longest + rlongest
-        return (self.build.neg(value) if negate else value), terms, longest
+            value = self.build.mul(value, self.factor())
+        return self.build.neg(value) if negate else value
 
     def factor(self):
-        value, terms, longest = self.atom()
+        value = self.atom()
         if self.eat_op("^"):
-            at = self.tokens[self.pos - 1][2]
             tok = self.peek()
             if tok is None or tok[0] != "NAT":
                 self.fail({"nonnegative integer exponent"})
             self.pos += 1
-            e = int(tok[1])
-            length = e * _width(longest)
-            # once the length alone is too large, terms ** e is never formed
-            if length > _MAX_FREE_SIZE or terms**e * length > _MAX_FREE_SIZE:
-                self.too_large(at)
-            return self.build.pow(value, e), terms**e, e * longest
-        return value, terms, longest
+            return power(value, int(tok[1]), self.build.mul, self.build.one)
+        return value
 
     def atom(self):
         tok = self.peek()
@@ -220,7 +264,7 @@ class _Parser:
                     raise IndexOutOfRange(f"variable index must be at least 1, got {value}")
                 g = Generator(value[0], index)
             g.check(self.n, self.kind)
-            return self.build.generator(g), 1, 1
+            return self.build.generator(g)
         if kind == "NAT":
             self.pos += 1
             num = int(value)
@@ -229,8 +273,8 @@ class _Parser:
                 if den_tok is None or den_tok[0] != "NAT" or int(den_tok[1]) == 0:
                     self.fail({"nonzero denominator"})
                 self.pos += 1
-                return self.build.constant(Fraction(num, int(den_tok[1]))), 1, 0
-            return self.build.constant(Fraction(num)), 1, 0
+                return self.build.constant(Fraction(num, int(den_tok[1])))
+            return self.build.constant(Fraction(num))
         if value == "(":
             if self.depth == _MAX_DEPTH:
                 self.fail({f"at most {_MAX_DEPTH} nested '('"})
@@ -263,11 +307,13 @@ def parse(text: str, n: int, kind: AlgebraKind | str) -> FreeExpression:
 def evaluate(text: str, n: int, kind: AlgebraKind | str) -> SparseElement:
     """The canonical element ``text`` denotes in ``kind``.
 
-    Walks the grammar as ``parse`` does and refuses the same texts with the
-    same errors, but builds elements with the algebra's own arithmetic:
-    the closed-form ``multiply`` for A, B and C, the word-pair product
-    table for B! and C!, and square and multiply for powers.  It equals
-    the normal form of ``parse(text, n, kind)``.
+    Walks the grammar as ``parse`` does, but builds elements with the
+    algebra's own arithmetic: the closed-form ``multiply`` for A, B and C,
+    the word-pair product table for B! and C!, and square and multiply for
+    powers, each product through ``bounded_product``.  It equals the
+    normal form of ``parse(text, n, kind)``.  The two routes refuse the same
+    malformed texts with the same errors; each bounds the size of what it
+    builds in its own way.
 
     >>> str(evaluate("d1*x1", 1, "B"))
     'x1*d1 + z^2'
@@ -275,12 +321,10 @@ def evaluate(text: str, n: int, kind: AlgebraKind | str) -> SparseElement:
     if isinstance(kind, str):
         kind = AlgebraKind.from_string(kind)
     if kind.is_shriek:
-        one = ShriekElement.one(n, kind)
-        build = _Build(lambda g: ShriekElement.generator(n, g, kind), one.scaled)
+        one, generator = ShriekElement.one(n, kind), lambda g: ShriekElement.generator(n, g, kind)
     else:
-        one = AlgebraElement.one(kind, n)
-        build = _Build(lambda g: AlgebraElement.generator(kind, n, g), one.scaled)
-    return _Parser(text, n, kind, build).parse()
+        one, generator = AlgebraElement.one(kind, n), lambda g: AlgebraElement.generator(kind, n, g)
+    return _Parser(text, n, kind, _Build(generator, one.scaled, one, mul=bounded_product)).parse()
 
 
 # -- rendering -----------------------------------------------------------------

@@ -10,6 +10,7 @@ is the arithmetic both element engines (PBW and shriek) share.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -136,6 +137,20 @@ class FreeExpression:
         return " + ".join(parts)
 
 
+def power(base, e: int, times, one):
+    """``base`` to the ``e`` under ``times`` with unit ``one``, by square and multiply."""
+    if e < 0:
+        raise ValueError("negative powers are not defined here")
+    if e == 0:
+        return one
+    out = base
+    for bit in bin(e)[3:]:  # the leading 1 is ``base``
+        out = times(out, out)
+        if bit == "1":
+            out = times(out, base)
+    return out
+
+
 class SparseElement:
     """An immutable sparse map from basis keys to nonzero rationals.
 
@@ -226,17 +241,7 @@ class SparseElement:
         return NotImplemented
 
     def __pow__(self, k: int):
-        """Square and multiply: at most 2 log2(k) products."""
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        if k == 0:
-            return self._one()
-        out = self
-        for bit in bin(k)[3:]:  # the leading 1 is ``self``
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return power(self, k, operator.mul, self._one())
 
     def _bilinear(self, other, basis_product):
         """Bilinear extension of ``basis_product(u, v, kind, n)``.

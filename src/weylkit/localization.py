@@ -31,7 +31,6 @@ from .pbw import (
     graded_degree,
     multiply,
     partial_degree,
-    z_divides,
     z_shift,
 )
 
@@ -82,10 +81,8 @@ def make(b: AlgebraElement, k: int = 0) -> LocalizedElement:
         raise ValueError("zpow must be nonnegative")
     if b.is_zero():
         return LocalizedElement(b, 0)
-    while k > 0 and z_divides(b):
-        b = divide_by_z(b)
-        k -= 1
-    return LocalizedElement(b, k)
+    strip = min(k, min(m.zexp for m in b.coeffs))
+    return LocalizedElement(divide_by_z(b, strip), k - strip)
 
 
 def _check_pair(a: LocalizedElement, b: LocalizedElement) -> None:

@@ -40,7 +40,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Sequence
 
 from .errors import (
@@ -397,7 +397,7 @@ def least_partial_part(a: AlgebraElement, b: AlgebraElement) -> tuple[int | None
             coeff = c1 * c2
             for q, p, k in zip(m1.dexps, m2.xexps, ks):
                 if k:
-                    coeff *= factorial(q + p - k) // factorial(q + p - 2 * k)
+                    coeff *= perm(q + p - k, k)
             m = PBWMonomial(
                 m1.zexp + m2.zexp + (2 * sum(ks) if kind is AlgebraKind.B else 0),
                 tuple(x + p - k for x, p, k in zip(m1.xexps, m2.xexps, ks)),
@@ -508,13 +508,16 @@ def z_divides(a: AlgebraElement) -> bool:
     return all(m.zexp >= 1 for m in a.coeffs)
 
 
-def divide_by_z(a: AlgebraElement) -> AlgebraElement:
-    if not z_divides(a):
-        raise NotDivisible("element has a term with no z factor")
+def divide_by_z(a: AlgebraElement, k: int = 1) -> AlgebraElement:
+    """a / z^k, for an ``a`` whose every term carries z^k."""
+    if any(m.zexp < k for m in a.coeffs):
+        raise NotDivisible(f"element has a term with no z^{k} factor")
+    if k == 0:
+        return a
     return AlgebraElement(
         a.kind,
         a.n,
-        {PBWMonomial(m.zexp - 1, m.xexps, m.dexps): c for m, c in a.coeffs.items()},
+        {PBWMonomial(m.zexp - k, m.xexps, m.dexps): c for m, c in a.coeffs.items()},
     )
 
 

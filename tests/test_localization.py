@@ -12,6 +12,7 @@ from weylkit import (
     LocalizedElement,
     NotDegreeZero,
     dehomogenize,
+    divide_by_z,
     homogenize,
     kernel_witness,
     loc_add,
@@ -25,6 +26,7 @@ from weylkit import (
     partial_degree,
     theta,
     theta_inverse,
+    z_divides,
     z_shift,
 )
 from weylkit.localization import render_localized
@@ -46,6 +48,16 @@ def ael(text, n=1):
 def test_make_strips_common_z():
     e = make(bel("z^2*x1"), 1)
     assert str(e.numerator) == "z*x1" and e.zpow == 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_make_strips_what_stepwise_division_strips(k):
+    # the least z exponent of b is 2: k below, at and above it
+    b = bel("z^2*x1*d1 + z^3 - 2*z^4*d1")
+    stepwise = LocalizedElement(b, k)
+    while stepwise.zpow > 0 and z_divides(stepwise.numerator):
+        stepwise = LocalizedElement(divide_by_z(stepwise.numerator), stepwise.zpow - 1)
+    assert make(b, k) == stepwise
 
 
 def test_make_zero():

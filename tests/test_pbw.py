@@ -401,3 +401,6 @@ def test_z_divides_and_divide():
 def test_divide_by_z_requires_divisibility():
     with pytest.raises(NotDivisible):
         divide_by_z(nf("x1 + z", 1, B))
+    assert str(divide_by_z(nf("z^3*x1 + z^2", 1, B), 2)) == "z*x1 + 1"
+    with pytest.raises(NotDivisible):
+        divide_by_z(nf("z^3*x1 + z^2", 1, B), 3)

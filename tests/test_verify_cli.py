@@ -384,8 +384,8 @@ def test_cli_n_guard_fires_before_work(capsys, verb):
     "text",
     [
         "(" * 300 + "x1" + ")" * 300,
-        "z^10000000",
-        "(x1+d1+z)^12",
+        "d1^10000000*x1^10000000",  # 10^7 + 1 terms
+        "(x1+d1+z)^40",  # s^20 * s^20 builds more than 100 000 terms
         "2^20000",  # 6021 digits: past Python's int-to-str limit when printed
         "4" * 4400,  # past the same limit when read
     ],
@@ -425,25 +425,85 @@ def _exchange_powers(verb, n, kind="B"):
             "*".join(f"d{i}^9" for i in range(1, n + 1)), "*".join(f"x{i}^9" for i in range(1, n + 1))]
 
 
-@pytest.mark.parametrize("verb", ["mul", "comm"])
-def test_cli_refuses_a_product_of_too_many_terms_before_building_it(capsys, monkeypatch, verb):
+@pytest.fixture
+def operands_only(monkeypatch):
+    """Fails a test that multiplies a term pair of d1^9*...*d8^9 and x1^9*...*x8^9."""
     from weylkit import pbw
 
     multiply_pair = pbw._mul_monomials
 
-    def operands_only(m1, m2, kind, n):
+    def guarded(m1, m2, kind, n):
         # building each operand multiplies smaller monomials; a term pair of
         # the refused product pairs the two whole operands, both of degree 72
         if m1.degree == m2.degree == 72:
             raise AssertionError("a term pair of the product was multiplied")
         return multiply_pair(m1, m2, kind, n)
 
-    monkeypatch.setattr(pbw, "_mul_monomials", operands_only)
-    # 10^8 terms; at n = 5 the 10^5 of them took 2.9 s and 111 MB, and each n is 10x more
+    monkeypatch.setattr(pbw, "_mul_monomials", guarded)
+
+
+@pytest.mark.parametrize("verb", ["mul", "comm"])
+def test_cli_refuses_a_product_of_too_many_terms_before_building_it(capsys, operands_only, verb):
+    # 10^8 terms; at n = 5 the 10^5 of them took 2.9 s and 111 MB, and each n is 10x more;
+    # at n = 8 the cap is 100 000 * 5 / 8 terms
     start = time.perf_counter()
     assert cli_main(_exchange_powers(verb, 8)) == 1
     assert time.perf_counter() - start < 1
-    assert capsys.readouterr().err == "error: the product would build more than 100000 terms\n"
+    assert capsys.readouterr().err == "error: the product would build more than 62500 terms\n"
+
+
+def _sum(n, word):
+    return "+".join(word.format(i=i) for i in range(1, n + 1))
+
+
+def _product(n, word):
+    return "*".join(word.format(i=i) for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 10 000 terms, 9999! among the coefficients: nf did not end in 10 s, homogenize in 44 s
+        *([verb, "--n", "1", "d1^9999*x1^9999"] for verb in ("nf", "homogenize", "dehomogenize", "theta", "mu")),
+        # one term pair that builds 10^8 terms
+        ["nf", "--n", "8", f"({_product(8, 'd{i}^9')})*({_product(8, 'x{i}^9')})"],
+        # ... and left to right: the product up to x5^9 builds 10^5 terms (1.5 s), past the cap at n = 8
+        ["nf", "--n", "8", f"{_product(8, 'd{i}^9')}*{_product(8, 'x{i}^9')}"],
+        # 160 000 and 10^6 word pairs
+        ["mul", "--n", "400", "--algebra", "B!", _sum(400, "x{i}"), _sum(400, "d{i}")],
+        ["mul", "--n", "1000", "--algebra", "B!", _sum(1000, "x{i}"), _sum(1000, "d{i}")],
+        # 1 600 pairs of z-words, each up to 400 words: printing 0 took 15.5 s
+        ["nf", "--n", "400", "--algebra", "B!", f"({_sum(40, 'x{i}*z')})*({_sum(40, 'x{i}*z')})"],
+    ],
+    ids=["nf", "homogenize", "dehomogenize", "theta", "mu", "nf-n8", "nf-n8-unparenthesized", "mul-B!", "mul-B!-n1000",
+         "nf-B!"],
+)
+def test_cli_refuses_an_oversized_product_in_every_expression_verb(capsys, operands_only, argv):
+    start = time.perf_counter()
+    assert cli_main(argv) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and err.count("error:") == 1
+
+
+def test_cli_theta_strips_a_large_z_power_at_once(capsys):
+    # stripping one z at a time took 0.82 s for z^99999, linear in the exponent
+    start = time.perf_counter()
+    assert cli_main(["theta", "--n", "1", "z^10000000"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_cli_product_guard_computes_the_least_partial_part_only_for_large_exchange_factors(capsys, monkeypatch):
+    from weylkit import expressions
+
+    calls = []
+    least_partial_part = expressions.least_partial_part
+    monkeypatch.setattr(expressions, "least_partial_part", lambda a, b: calls.append(1) or least_partial_part(a, b))
+    assert cli_main(["nf", "--n", "1", "(3*x1 - 2*d1 + z)^4"]) == 0  # 4 products
+    assert calls == []
+    assert cli_main(["mul", "--n", "1", "d1^9999", "x1^9999"]) == 1
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("q, p", [(9, 99), (1, 200)])
@@ -458,15 +518,25 @@ def test_cli_nf_evaluates_a_product_without_rewriting(capsys, rewrite_steps, q, 
 
 
 def test_cli_term_guard_counts_what_multiply_builds(capsys, monkeypatch):
-    from weylkit import cli
+    from weylkit import expressions
 
-    monkeypatch.setattr(cli, "_MAX_PRODUCT_TERMS", 1000)
+    monkeypatch.setattr(expressions, "_MAX_PRODUCT_TERMS", 1000)
     assert cli_main(_exchange_powers("mul", 3)) == 0  # exactly 10^3 terms
     assert capsys.readouterr().out.count(" + ") == 999
     assert cli_main(_exchange_powers("comm", 3)) == 1  # b*a builds one more
     assert capsys.readouterr().err.startswith("error:")
     assert cli_main(_exchange_powers("mul", 8, "C")) == 0  # nothing exchanges in C
     assert capsys.readouterr().out.count("*") == 15
+    # the same 10^3 terms at n = 6, where the cap falls to 1000 * 5 // 6
+    assert cli_main(["mul", "--n", "6", *_exchange_powers("mul", 3)[3:]]) == 1
+    assert capsys.readouterr().err == "error: the product would build more than 833 terms\n"
+    # in B! a pair of z-words counts n = 3 words, as z^2 = -(x1*d1 + x2*d2 + x3*d3): 9 pairs count 27
+    square = ["nf", "--n", "3", "--algebra", "B!", "(x1*z + x2*z + x3*z)^2"]
+    monkeypatch.setattr(expressions, "_MAX_PRODUCT_TERMS", 27)
+    assert cli_main(square) == 0
+    monkeypatch.setattr(expressions, "_MAX_PRODUCT_TERMS", 26)
+    assert cli_main(square) == 1
+    assert capsys.readouterr().err == "error: the product would build more than 26 terms\n"
 
 
 def test_cli_parser_is_reused_with_fresh_defaults(capsys, monkeypatch):
