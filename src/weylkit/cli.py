@@ -55,7 +55,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-_MAX_BUDGET = 1000  # process wall time of verify all --n 3 --budget 1000: 8.4 s (4.5 s at 200)
+_MAX_BUDGET = 1000  # process wall time of verify all --n 3 --budget 1000: 3.9-4.0 s (1.6-1.8 s at 200)
 
 
 def _budget(text: str) -> int:
@@ -156,10 +156,10 @@ def _mu(args) -> None:
 
 def _verify(args) -> int:
     if args.bless:
-        for ni in range(1, min(args.n, SUITE_MAX_N["nakayama"]) + 1):
+        for ni in range(1, args.n + 1):
             print(f"golden file written: {bless_golden(ni)}", file=sys.stderr)
     if args.suite == "all":
-        reports = [run_suite(name, min(args.n, SUITE_MAX_N[name]), args.seed, args.budget) for name in SUITE_NAMES]
+        reports = [run_suite(name, args.n, args.seed, args.budget) for name in SUITE_NAMES]
     else:
         reports = [run_suite(args.suite, args.n, args.seed, args.budget)]
     if args.format == "json":
@@ -185,8 +185,8 @@ _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 # n = 5 no more than 500 000 / n (expressions.bounded_product); at --n 1000, nf "(x1+d1+z)^8"
 # takes 0.23-0.26 s (0.14-0.17 s at n = 1), and mul of two of them is refused in 0.35-0.41 s
 # (it prints in 0.19-0.21 s at n = 1).  dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 4 1.3-1.4 s,
-# dual --n 12 1.4 s, nakayama --n 3 1.1 s with --json; these grow fast with n.  verify takes
-# the largest suite cap; ``verify all`` runs each suite up to its own SUITE_MAX_N.
+# dual --n 12 1.4 s, nakayama --n 3 0.64-0.67 s with --json; these grow fast with n.  verify
+# takes the one suite cap, SUITE_MAX_N: verify all --n 3 1.6-1.8 s.
 _EXPR_MAX_N = 1000
 
 _VERBS = {
@@ -204,7 +204,7 @@ _VERBS = {
     "mu": _Verb(_mu, "degree-t localized image of a Weyl-algebra element", _EXPR_MAX_N, exprs=1, kinds=("B",), extra=(
         ("t", dict(nargs="?", type=int, default=0, help="z-degree shift (default 0)")),
     )),
-    "verify": _Verb(_verify, "run verification suites", max(SUITE_MAX_N.values()), extra=(
+    "verify": _Verb(_verify, "run verification suites", SUITE_MAX_N, extra=(
         ("suite", dict(nargs="?", default="all", help=f"suite name or 'all'; suites: {', '.join(SUITE_NAMES)}")),
         ("--seed", dict(type=int, default=DEFAULT_SEED, help="sample-stream seed")),
         ("--budget", dict(type=_budget, default=DEFAULT_BUDGET, help=f"sample count per check (at most {_MAX_BUDGET})")),

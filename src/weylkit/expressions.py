@@ -309,7 +309,7 @@ def evaluate(text: str, n: int, kind: AlgebraKind | str) -> SparseElement:
 
     Walks the grammar as ``parse`` does, but builds elements with the
     algebra's own arithmetic: the closed-form ``multiply`` for A, B and C,
-    the word-pair product table for B! and C!, and square and multiply for
+    the closed-form word product for B! and C!, and square and multiply for
     powers, each product through ``bounded_product``.  It equals the
     normal form of ``parse(text, n, kind)``.  The two routes refuse the same
     malformed texts with the same errors; each bounds the size of what it

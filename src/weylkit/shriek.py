@@ -15,6 +15,13 @@ Rewriting a word sorts it by adjacent transpositions, each costing a sign,
 kills repeated x/d generators, and substitutes doubled z's.  The z-count
 of a word drops by two at every z^2 step and the inversion count drops at
 every swap, so any redex order terminates; confluence is checked by test.
+``reduce_expression`` is that literal route.  ``multiply`` reads the
+product of two basis words off their bitmasks instead: zero if they share
+an x or d letter; else the merged word, with one sign per pair of letters
+the merge swaps and per x/d letter of the right word that a z of the left
+word passes.  Two z's then give 0 in C!, and in B! -(x_i d_i) for each i
+that neither word uses, x_i and d_i each passing the letters ranked above
+them.  The tests check this against rewriting on every word pair, n <= 3.
 
 The z-free words form a subalgebra (the exterior algebra on the x and d
 generators) and the words with z span its complementary free rank-one
@@ -64,6 +71,13 @@ class ShriekWord:
     xmask: int
     dmask: int
     zflag: int
+
+    def __hash__(self) -> int:
+        x, d = self.xmask, self.dmask
+        if (x | d) >> 60:
+            # Python hashes an int modulo 2^61 - 1, so x_i and x_{i+61} would collide
+            x, d = (m.to_bytes((m.bit_length() + 7) // 8, "little") for m in (x, d))
+        return hash((x, d, self.zflag))
 
     @property
     def degree(self) -> int:
@@ -255,20 +269,31 @@ def reduce_expression(
     return ShriekElement(n, _reduce_rank_words(terms, n, kind, rng), kind)
 
 
-# word-pair product table, filled lazily; entries are immutable and the
-# computation is deterministic, so concurrent duplicate inserts are benign
-_WORD_PRODUCTS: dict[tuple[AlgebraKind, int, ShriekWord, ShriekWord], tuple[tuple[ShriekWord, Fraction], ...]] = {}
-
-
 def _word_product(u: ShriekWord, v: ShriekWord, kind: AlgebraKind, n: int):
-    key = (kind, n, u, v)
-    hit = _WORD_PRODUCTS.get(key)
-    if hit is None:
-        ranks = u.ranks(n) + v.ranks(n)
-        reduced = _reduce_rank_words({ranks: Fraction(1)}, n, kind)
-        hit = tuple((w, c) for w, c in reduced.items() if c)
-        _WORD_PRODUCTS[key] = hit
-    return hit
+    """The (word, sign) terms of u*v, in the closed form of the module docstring."""
+    if u.xmask & v.xmask or u.dmask & v.dmask:
+        return ()
+    # a word's x/d letters as one mask, the letter of rank r at bit r
+    left, right = u.xmask | u.dmask << n, v.xmask | v.dmask << n
+    flips = right.bit_count() if u.zflag else 0
+    rest = right
+    while rest:
+        low = rest & -rest
+        flips += (left & -low).bit_count()  # the letters of u ranked above this one
+        rest ^= low
+    xmask, dmask = u.xmask | v.xmask, u.dmask | v.dmask
+    sign = -1 if flips & 1 else 1
+    if not (u.zflag and v.zflag):
+        return ((ShriekWord(xmask, dmask, u.zflag | v.zflag), sign),)
+    if kind is AlgebraKind.C_SHRIEK:
+        return ()
+    merged = left | right
+    return tuple(
+        (ShriekWord(xmask | 1 << i, dmask | 1 << i, 0),
+         -sign * (-1) ** ((merged >> i).bit_count() + (merged >> n + i).bit_count()))
+        for i in reversed(range(n))  # in the order rewriting lists them
+        if not (xmask | dmask) >> i & 1
+    )
 
 
 def multiply(a: ShriekElement, b: ShriekElement) -> ShriekElement:

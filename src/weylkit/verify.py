@@ -870,22 +870,21 @@ def _suite_roundtrip(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
     rec.check("json-shape", "JSON form carries algebra, n and canonical terms", json_shape)
 
 
-_SUITES: dict[str, tuple[Callable[[_Recorder, int, random.Random, int], None], int]] = {
-    "pbw-laws": (_suite_pbw_laws, 3),
-    "center": (_suite_center, 3),
-    "dual-orthogonality": (_suite_dual, 3),
-    "shriek-dims": (_suite_shriek_dims, 3),
-    "frobenius": (_suite_frobenius, 2),
-    "nakayama": (_suite_nakayama, 2),
-    "decomposition": (_suite_decomposition, 2),
-    "localization": (_suite_localization, 3),
-    "roundtrip": (_suite_roundtrip, 3),
+_SUITES: dict[str, Callable[[_Recorder, int, random.Random, int], None]] = {
+    "pbw-laws": _suite_pbw_laws,
+    "center": _suite_center,
+    "dual-orthogonality": _suite_dual,
+    "shriek-dims": _suite_shriek_dims,
+    "frobenius": _suite_frobenius,
+    "nakayama": _suite_nakayama,
+    "decomposition": _suite_decomposition,
+    "localization": _suite_localization,
+    "roundtrip": _suite_roundtrip,
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
-# the largest pair count each suite accepts; ``verify all`` caps --n at these
-SUITE_MAX_N = {name: max_n for name, (_, max_n) in _SUITES.items()}
+SUITE_MAX_N = 3  # the largest pair count every suite accepts
 
 
 def run_suite(name: str, n: int, seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET) -> SuiteReport:
@@ -896,10 +895,8 @@ def run_suite(name: str, n: int, seed: int = DEFAULT_SEED, budget: int = DEFAULT
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    fn = _SUITES[name][0]
-    max_n = SUITE_MAX_N[name]
-    if n < 1 or n > max_n:
-        raise UnsupportedN(f"suite {name} supports 1 <= n <= {max_n}, got {n}")
+    if n < 1 or n > SUITE_MAX_N:
+        raise UnsupportedN(f"suite {name} supports 1 <= n <= {SUITE_MAX_N}, got {n}")
     if budget < 1:
         raise ValueError("budget must be positive")
     n_values = list(range(1, n + 1))
@@ -907,7 +904,7 @@ def run_suite(name: str, n: int, seed: int = DEFAULT_SEED, budget: int = DEFAULT
     share = max(budget // len(n_values), 1)
     for ni in n_values:
         rng = random.Random(f"{name}:{seed}:{ni}")
-        fn(_Recorder(report, ni), ni, rng, share)
+        _SUITES[name](_Recorder(report, ni), ni, rng, share)
     return report
 
 

@@ -24,8 +24,8 @@ from weylkit import (
     shriek_basis,
     shriek_basis_of_degree,
 )
-from weylkit.shriek import multiply, top_word, rank_generator
-from weylkit import linalg
+from weylkit.shriek import ShriekWord, multiply, top_word, rank_generator
+from weylkit import linalg, shriek
 from weylkit.verify import random_shriek
 
 x1, x2 = Generator.x(1), Generator.x(2)
@@ -175,6 +175,38 @@ def test_multiply_associative_random_n2():
 def test_size_mismatch():
     with pytest.raises(SizeMismatch):
         multiply(ShriekElement.one(1), ShriekElement.one(2))
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK], ids=["B!", "C!"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_word_product_equals_rewriting_on_every_pair(n, kind):
+    for u, v in itertools.product(shriek_basis(n), repeat=2):
+        rewritten = shriek._reduce_rank_words({u.ranks(n) + v.ranks(n): Fraction(1)}, n, kind)
+        expected = {w: c for w, c in rewritten.items() if c}
+        assert dict(shriek._word_product(u, v, kind, n)) == expected, (u, v)
+
+
+def test_multiply_does_not_rewrite(monkeypatch):
+    calls = []
+    inner = shriek._reduce_rank_words
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(shriek, "_reduce_rank_words", counting)
+    for kind in (AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK):
+        full = ShriekElement(3, {w: 1 for w in shriek_basis(3)}, kind)
+        assert not multiply(full, full).is_zero()
+    assert len(calls) == 0
+    reduce_word([z, z], 3)  # the literal route does go through the counter
+    assert len(calls) == 1
+
+
+def test_word_hash_mixes_every_mask_bit():
+    # Python hashes an int modulo 2^61 - 1; x_i and x_{i+61} must still hash apart
+    assert len({hash(ShriekWord(1 << i, 0, 0)) for i in range(1000)}) == 1000
+    assert len({hash(ShriekWord(0, 1 << i, 1)) for i in range(1000)}) == 1000
 
 
 # -- decomposition ---------------------------------------------------------------------

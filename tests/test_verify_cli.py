@@ -194,11 +194,17 @@ def test_unknown_suite():
 
 def test_unsupported_n():
     with pytest.raises(UnsupportedN):
-        run_suite("nakayama", 3)
+        run_suite("nakayama", 4)
     with pytest.raises(UnsupportedN):
         run_suite("pbw-laws", 4)
     with pytest.raises(UnsupportedN):
         run_suite("pbw-laws", 0)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_every_suite_shares_one_n_cap(name):
+    with pytest.raises(UnsupportedN):
+        run_suite(name, 4)
 
 
 def test_report_shape():
@@ -233,7 +239,7 @@ def test_golden_mismatch_detected(tmp_path, monkeypatch):
 
 
 def test_shipped_golden_files_match():
-    for n in (1, 2):
+    for n in (1, 2, 3):
         assert load_golden(n) == compute_golden(n)
 
 
