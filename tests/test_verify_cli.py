@@ -203,6 +203,7 @@ def test_unsupported_n():
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_every_suite_shares_one_n_cap(name):
+    assert run_suite(name, 3, budget=3).passed
     with pytest.raises(UnsupportedN):
         run_suite(name, 4)
 
