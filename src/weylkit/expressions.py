@@ -15,9 +15,10 @@ most ``sys.get_int_max_str_digits()`` digits (else ExpressionTooLarge).
 
 ``evaluate`` builds every product, and every square and multiply step of a
 power, with ``bounded_product``, which bounds the product's term count and
-coefficients before building it; ``parse`` refuses a product of free words
-longer than ``_MAX_FREE_SIZE`` letters in all.  Both add the summands of a
-sum in pairs.
+coefficients before building it; the terms are counted by the engine that
+builds them, ``pbw.product_size`` or ``shriek.product_size``.  ``parse``
+refuses a product of free words longer than ``_MAX_FREE_SIZE`` letters in
+all.  Both add the summands of a sum in pairs.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from itertools import product
 from typing import Any, Callable, NamedTuple
 
 from .errors import ExpressionTooLarge, IndexOutOfRange, ParseError
 from .generators import AlgebraKind, FreeExpression, Generator, SparseElement, power
-from .pbw import AlgebraElement, least_partial_part
+from . import pbw, shriek
+from .pbw import AlgebraElement
 from .shriek import ShriekElement
 
 GRAMMAR = """\
@@ -105,42 +106,25 @@ def bounded_product(a: SparseElement, b: SparseElement, comm: bool = False) -> S
     """``a * b``, or ``a * b - b * a`` if ``comm``, unless it is too large (ExpressionTooLarge).
 
     Refused before it is built past ``_MAX_PRODUCT_TERMS * 5 // max(n, 5)``
-    terms, counted up to the cap: a term pair of A or B builds
-    prod_i (min(q_i, p_i) + 1), q the d-exponents of its left monomial and p
-    the x-exponents of its right one; a pair of z-words in B! up to n words,
-    as z^2 = -(x_1 d_1 + .. + x_n d_n); any other pair one.  Refused, too,
-    when a coefficient cannot be printed: after it is built, and before if
-    its exact part of least partial degree (one term per term pair) shows
-    one, computed only when an exchange factor k! C(q, k) C(p, k) <= (q p)^k
-    may exceed 3 * digits bits.
+    terms, as the engine's ``product_size`` counts them up to the cap.
+    Refused, too, when a coefficient cannot be printed: after it is built,
+    and before if its exact part of least partial degree (one term per term
+    pair) shows one, computed only when an exchange factor may exceed
+    3 * digits bits.
     """
     cap = _MAX_PRODUCT_TERMS * 5 // max(a.n, 5)
+    size = shriek.product_size if a.kind.is_shriek else pbw.product_size
     built = bits = 0
     for left, right in ((a, b), (b, a)) if comm else ((a, b),):
-        if a.kind in (AlgebraKind.A, AlgebraKind.B):
-            exchanged = [[(i, q) for i, q in enumerate(m.dexps) if q] for m in left.coeffs]
-            for qs, m2 in product(exchanged, right.coeffs):
-                terms, width = 1, 0
-                for i, q in qs:
-                    if p := m2.xexps[i]:
-                        k = min(q, p)
-                        terms *= k + 1
-                        width += k * (q.bit_length() + p.bit_length())
-                built += terms
-                bits = max(bits, width)
-                if built > cap:
-                    break
-        else:
-            built += len(left.coeffs) * len(right.coeffs)
-            if a.kind is AlgebraKind.B_SHRIEK:
-                built += (a.n - 1) * sum(w.zflag for w in left.coeffs) * sum(w.zflag for w in right.coeffs)
+        terms, width = size(left, right, cap - built)
+        built, bits = built + terms, max(bits, width)
         if built > cap:
             raise ExpressionTooLarge(f"the product would build more than {cap} terms")
     digits = sys.get_int_max_str_digits()  # 0 means no limit
     if digits and bits > 3 * digits:
-        degree, low = least_partial_part(a, b)
+        degree, low = pbw.least_partial_part(a, b)
         if comm:  # the part of a*b - b*a in degree min(degree, other)
-            other, high = least_partial_part(b, a)
+            other, high = pbw.least_partial_part(b, a)
             if other < degree:
                 low = high
             elif other == degree:

@@ -40,7 +40,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -330,42 +331,29 @@ def word_normal_form(
 
 # -- closed-form multiplication ---------------------------------------------
 
-def _mul_monomials(m1: PBWMonomial, m2: PBWMonomial, kind: AlgebraKind, n: int) -> list[tuple[PBWMonomial, int]]:
+def _mul_monomials(m1: PBWMonomial, m2: PBWMonomial, kind: AlgebraKind, n: int):
+    """Yield the (monomial, coefficient) terms of m1*m2 by the exchange identity,
+    least partial degree first: each k_i runs from min(q_i, p_i) down to 0."""
     q1 = m1.dexps
     p2 = m2.xexps
     # kind C commutes everything, so no d_i x_i pair needs an exchange
     cross = [] if kind is AlgebraKind.C else [i for i in range(n) if q1[i] and p2[i]]
     base_z = m1.zexp + m2.zexp
     if not cross:
-        return [
-            (
-                PBWMonomial(
-                    base_z,
-                    tuple(a + b for a, b in zip(m1.xexps, p2)),
-                    tuple(a + b for a, b in zip(q1, m2.dexps)),
-                ),
-                1,
-            )
-        ]
-    out = []
-    for ks in itertools.product(*(range(min(q1[i], p2[i]) + 1) for i in cross)):
+        yield PBWMonomial(base_z, tuple(map(add, m1.xexps, p2)), tuple(map(add, q1, m2.dexps))), 1
+        return
+    for ks in itertools.product(*(range(min(q1[i], p2[i]), -1, -1) for i in cross)):
         coeff = 1
         kvec = [0] * n
         for i, k in zip(cross, ks):
             coeff *= comb(q1[i], k) * comb(p2[i], k) * factorial(k)
             kvec[i] = k
         ktot = sum(ks)
-        out.append(
-            (
-                PBWMonomial(
-                    base_z + (2 * ktot if kind is AlgebraKind.B else 0),
-                    tuple(m1.xexps[i] + p2[i] - kvec[i] for i in range(n)),
-                    tuple(q1[i] - kvec[i] + m2.dexps[i] for i in range(n)),
-                ),
-                coeff,
-            )
-        )
-    return out
+        yield PBWMonomial(
+            base_z + (2 * ktot if kind is AlgebraKind.B else 0),
+            tuple(m1.xexps[i] + p2[i] - kvec[i] for i in range(n)),
+            tuple(q1[i] - kvec[i] + m2.dexps[i] for i in range(n)),
+        ), coeff
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -374,37 +362,49 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a._bilinear(b, _mul_monomials)
 
 
+def product_size(a: AlgebraElement, b: AlgebraElement, cap: int) -> tuple[int, int]:
+    """(terms, exchange bits) of ``a * b``, the terms counted until they pass ``cap``.
+
+    A term pair builds prod_i (min(q_i, p_i) + 1) terms, q the d-exponents of
+    its left monomial and p the x-exponents of its right one.  Its exchange
+    factors k! C(q, k) C(p, k) <= (q p)^k have at most the bits it adds up.
+    """
+    a._check_compatible(b)
+    if a.kind is AlgebraKind.C:
+        return len(a.coeffs) * len(b.coeffs), 0
+    terms = bits = 0
+    exchanged = [[(i, q) for i, q in enumerate(m.dexps) if q] for m in a.coeffs]
+    for qs, m2 in itertools.product(exchanged, b.coeffs):
+        built, width = 1, 0
+        for i, q in qs:
+            if p := m2.xexps[i]:
+                k = min(q, p)
+                built *= k + 1
+                width += k * (q.bit_length() + p.bit_length())
+        terms, bits = terms + built, max(bits, width)
+        if terms > cap:
+            break
+    return terms, bits
+
+
 def least_partial_part(a: AlgebraElement, b: AlgebraElement) -> tuple[int | None, AlgebraElement]:
     """The least partial degree p of a term of ``a * b``, and the part of ``a * b`` in degree p.
 
-    A term pair reaches its least degree only through the k_i = min(q_i, p_i)
-    term of the exchange identity, whose coefficient is
-    prod_i max(q_i, p_i)! / |q_i - p_i|!.  So this builds one term per term
-    pair, where ``multiply`` builds prod_i (min(q_i, p_i) + 1) of them.  The
-    part is exact, so it may be zero; p is None when a or b is zero.
+    A term pair reaches its least degree only through its first term in
+    ``_mul_monomials``, so this builds one term per term pair, where
+    ``multiply`` builds prod_i (min(q_i, p_i) + 1) of them.  The part is
+    exact, so it may be zero; p is None when a or b is zero.
     """
     a._check_compatible(b)
-    kind = a.kind
     least, part = None, {}
     for m1, c1 in a.coeffs.items():
         for m2, c2 in b.coeffs.items():
-            ks = (0,) * a.n if kind is AlgebraKind.C else tuple(map(min, m1.dexps, m2.xexps))
-            partial = m1.partial + m2.partial - 2 * sum(ks)
-            if least is None or partial < least:
-                least, part = partial, {}
-            if partial > least:
-                continue
-            coeff = c1 * c2
-            for q, p, k in zip(m1.dexps, m2.xexps, ks):
-                if k:
-                    coeff *= perm(q + p - k, k)
-            m = PBWMonomial(
-                m1.zexp + m2.zexp + (2 * sum(ks) if kind is AlgebraKind.B else 0),
-                tuple(x + p - k for x, p, k in zip(m1.xexps, m2.xexps, ks)),
-                tuple(q - k + d for q, k, d in zip(m1.dexps, ks, m2.dexps)),
-            )
-            part[m] = part.get(m, 0) + coeff
-    return least, AlgebraElement(kind, a.n, part)
+            m, coeff = next(_mul_monomials(m1, m2, a.kind, a.n))
+            if least is None or m.partial < least:
+                least, part = m.partial, {}
+            if m.partial == least:
+                part[m] = part.get(m, 0) + c1 * c2 * coeff
+    return least, AlgebraElement(a.kind, a.n, part)
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -464,7 +464,9 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
 
     Exact linear solve: unknowns are coefficients over the degree-d basis,
     one equation per generator and degree-(d+1) monomial.  z is central,
-    so only x_i and d_i give equations.
+    so only x_i and d_i give equations.  The column of a basis monomial m
+    and a generator g is [m, g], read off ``_mul_monomials(m, g)`` and
+    ``_mul_monomials(g, m)`` without building an element.
 
     ``ad(x_i)`` and ``ad(d_i)`` shift the Z^n weight (x-exponents minus
     d-exponents) of every monomial by +e_i resp. -e_i, so the system is
@@ -480,20 +482,19 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
     blocks: dict[tuple[int, ...], list[int]] = {}
     for j, m in enumerate(basis):
         blocks.setdefault(tuple(x - e for x, e in zip(m.xexps, m.dexps)), []).append(j)
-    gens = [
-        AlgebraElement.generator(kind, n, g(i))
-        for g in (Generator.x, Generator.d)
-        for i in range(1, n + 1)
-    ]
-    zero = Fraction(0)
+    gens = [_ranks_to_monomial((r,), n) for r in range(1, 2 * n + 1)]  # x_1..x_n, d_1..d_n
     found: list[tuple[int, dict[PBWMonomial, Fraction]]] = []
     for cols in blocks.values():
-        monomials = [AlgebraElement.monomial(kind, n, basis[j]) for j in cols]
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
         for g in gens:
-            columns = [commutator(bm, g).coeffs for bm in monomials]
+            columns = []
+            for j in cols:  # the column of basis[j]: the commutator [basis[j], g]
+                col = dict(_mul_monomials(basis[j], g, kind, n))  # its terms are distinct
+                for t, k in _mul_monomials(g, basis[j], kind, n):
+                    col[t] = col.get(t, 0) - k
+                columns.append({t: k for t, k in col.items() if k})
             targets = {t for col in columns for t in col}
-            rows.extend([col.get(t, zero) for col in columns] for t in targets)
+            rows.extend([col.get(t, 0) for col in columns] for t in targets)
         for vec in linalg.nullspace(rows, len(cols)):
             support = [(j, v) for j, v in zip(cols, vec) if v]
             found.append((support[-1][0], {basis[j]: v for j, v in support}))

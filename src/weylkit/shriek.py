@@ -302,6 +302,26 @@ def multiply(a: ShriekElement, b: ShriekElement) -> ShriekElement:
     return a._bilinear(b, _word_product)
 
 
+def product_size(a: ShriekElement, b: ShriekElement, cap: int) -> tuple[int, int]:
+    """(terms, exchange bits) of ``a * b``, the terms counted until they pass ``cap``.
+
+    A word pair counts one, as the product visits it; two z-words of B! that
+    share no x or d letter count the indices neither uses, at least one, as
+    z^2 = -(x_1 d_1 + .. + x_n d_n).  Coefficients are signs: 0 exchange bits.
+    """
+    a._check_compatible(b)
+    terms, n, zz = 0, a.n, a.kind is AlgebraKind.B_SHRIEK
+    for u in a.coeffs:
+        for v in b.coeffs:
+            if zz and u.zflag and v.zflag and not (u.xmask & v.xmask or u.dmask & v.dmask):
+                terms += max(1, n - (u.xmask | v.xmask | u.dmask | v.dmask).bit_count())
+            else:
+                terms += 1
+            if terms > cap:
+                return terms, 0
+    return terms, 0
+
+
 # -- the direct-sum decomposition ----------------------------------------------
 
 def decompose(e: ShriekElement) -> tuple[ShriekElement, ShriekElement]:
@@ -335,13 +355,14 @@ def bilinear_form(a: ShriekElement, b: ShriekElement) -> Fraction:
 
 
 def gram_matrix(n: int, j: int) -> list[list[Fraction]]:
-    """[beta(u_i, v_k)] over the degree-(j, 2n+1-j) basis pair."""
+    """[beta(u_i, v_k)] over the degree-(j, 2n+1-j) basis pair, read off ``_word_product``."""
     if not 0 <= j <= 2 * n + 1:
         raise ValueError(f"degree {j} out of range 0..{2 * n + 1}")
     rows = shriek_basis_of_degree(n, j)
     cols = shriek_basis_of_degree(n, 2 * n + 1 - j)
+    top = top_word(n)
     return [
-        [bilinear_form(ShriekElement.word(n, u), ShriekElement.word(n, v)) for v in cols]
+        [Fraction(dict(_word_product(u, v, AlgebraKind.B_SHRIEK, n)).get(top, 0)) for v in cols]
         for u in rows
     ]
 

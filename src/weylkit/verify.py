@@ -450,17 +450,15 @@ def _suite_dual(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None
         structured_span,
     )
 
-    if n <= 2:
+    def involution():
+        p = primal()
+        comp_pres = QuadraticPresentation(n, B, p.generators, complement().basis)
+        back = orthogonal_complement(comp_pres)
+        g = len(p.generators)
+        ok = linalg.span_equal(relation_rows(back.basis, g), relation_rows(p.relations, g))
+        return None if ok else "double complement differs from the relation span"
 
-        def involution():
-            p = primal()
-            comp_pres = QuadraticPresentation(n, B, p.generators, complement().basis)
-            back = orthogonal_complement(comp_pres)
-            g = len(p.generators)
-            ok = linalg.span_equal(relation_rows(back.basis, g), relation_rows(p.relations, g))
-            return None if ok else "double complement differs from the relation span"
-
-        rec.check("involution", "the orthogonal complement is an involution", involution)
+    rec.check("involution", "the orthogonal complement is an involution", involution)
 
 
 def _suite_shriek_dims(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
@@ -495,32 +493,31 @@ def _suite_shriek_dims(rec: _Recorder, n: int, rng: random.Random, budget: int) 
 
     rec.check("free-rank-two-split", "B! is free of rank two over its z-free subalgebra", split)
 
-    if n <= 2:
-        # the quantum-PBW statement at desk scale: word reduction is
-        # confluent, so the square-free words really are a basis
-        def reduction_confluence():
-            word = random_word(rng, n, AlgebraKind.B_SHRIEK)
-            ref = sreduce(word, n)
-            if any(sreduce(word, n, rng=rng) != ref for _ in range(3)):
-                return f"word {'*'.join(map(str, word)) or '1'}"
-            return None
+    # the quantum-PBW statement at desk scale: word reduction is
+    # confluent, so the square-free words really are a basis
+    def reduction_confluence():
+        word = random_word(rng, n, AlgebraKind.B_SHRIEK)
+        ref = sreduce(word, n)
+        if any(sreduce(word, n, rng=rng) != ref for _ in range(3)):
+            return f"word {'*'.join(map(str, word)) or '1'}"
+        return None
 
-        rec.sample(
-            "reduction-confluence",
-            "quantum-PBW: randomized shriek reductions agree",
-            max(budget // 4, 20),
-            reduction_confluence,
-        )
+    rec.sample(
+        "reduction-confluence",
+        "quantum-PBW: randomized shriek reductions agree",
+        max(budget // 4, 20),
+        reduction_confluence,
+    )
 
-        def shriek_associativity():
-            a = ShriekElement.word(n, rng.choice(words))
-            b = ShriekElement.word(n, rng.choice(words))
-            c = ShriekElement.word(n, rng.choice(words))
-            if smul(smul(a, b), c) != smul(a, smul(b, c)):
-                return f"a = {a}; b = {b}; c = {c}"
-            return None
+    def shriek_associativity():
+        a = ShriekElement.word(n, rng.choice(words))
+        b = ShriekElement.word(n, rng.choice(words))
+        c = ShriekElement.word(n, rng.choice(words))
+        if smul(smul(a, b), c) != smul(a, smul(b, c)):
+            return f"a = {a}; b = {b}; c = {c}"
+        return None
 
-        rec.sample("shriek-associativity", "(ab)c = a(bc) in B!", budget, shriek_associativity)
+    rec.sample("shriek-associativity", "(ab)c = a(bc) in B!", budget, shriek_associativity)
 
 
 def _suite_frobenius(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:

@@ -386,6 +386,17 @@ def test_centralizer_eliminates_one_weight_block_at_a_time(eliminations, kind, b
     assert max(eliminations) == largest
 
 
+def test_centralizer_builds_no_element(monkeypatch):
+    calls = []
+    for name in ("multiply", "commutator"):
+        inner = getattr(pbw, name)
+        monkeypatch.setattr(pbw, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
+    assert [str(v) for v in centralizer_in_degree(B, 3, 5)] == ["z^5"]
+    assert calls == []
+    pbw.commutator(gen_el(B, 1, Generator.x(1)), gen_el(B, 1, Generator.d(1)))  # the wrappers count
+    assert calls == ["commutator", "multiply", "multiply"]
+
+
 # -- z divisibility -----------------------------------------------------------------
 
 

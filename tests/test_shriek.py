@@ -260,6 +260,29 @@ def test_gram_examples():
     assert gram_matrix(1, 3) == [[Fraction(1)]]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_matrix_equals_the_bilinear_form_of_basis_words(n):
+    # the element route is the oracle: beta(u, v) read off the built product u*v
+    word = ShriekElement.word
+    for j in range(2 * n + 2):
+        want = [
+            [bilinear_form(word(n, u), word(n, v)) for v in shriek_basis_of_degree(n, 2 * n + 1 - j)]
+            for u in shriek_basis_of_degree(n, j)
+        ]
+        assert gram_matrix(n, j) == want, j
+
+
+def test_gram_matrix_builds_no_element(monkeypatch):
+    calls = []
+    for name in ("multiply", "bilinear_form"):
+        inner = getattr(shriek, name)
+        monkeypatch.setattr(shriek, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
+    assert linalg.det(gram_matrix(3, 3)) != 0
+    assert calls == []
+    shriek.bilinear_form(ShriekElement.one(3), ShriekElement.one(3))  # the wrappers count
+    assert calls == ["bilinear_form", "multiply"]
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_gram_invertible_all_degrees(n):
     for j in range(0, 2 * n + 2):
@@ -345,6 +368,13 @@ def test_apply_examples():
     top = ShriekElement.word(1, top_word(1))
     img = apply_automorphism(nm, top)
     assert set(img.coeffs) == {top_word(1)}
+
+
+def test_apply_to_an_exterior_element_is_the_identity():
+    # the Nakayama map of B! fixes every generator, so read in C! it fixes every element
+    rng = random.Random(5)
+    e = ShriekElement(1, {w: rng.randint(-3, 3) for w in shriek_basis(1)}, AlgebraKind.C_SHRIEK)
+    assert apply_automorphism(nakayama(1), e) == e
 
 
 def test_apply_size_mismatch():

@@ -72,10 +72,10 @@ def test_dual_suite_builds_each_presentation_once(monkeypatch):
     counting(verify, "dual_presentation")
     counting(linalg, "_eliminate")
     assert run_suite("dual-orthogonality", 3).passed
-    # per n: one complement and the B and C duals; n <= 2 adds the involution's double complement
-    assert calls.count("orthogonal_complement") == 5
+    # per n: one complement, the B and C duals and the involution's double complement
+    assert calls.count("orthogonal_complement") == 6
     assert calls.count("dual_presentation") == 6
-    assert calls.count("_eliminate") == 23
+    assert calls.count("_eliminate") == 27
 
 
 def test_nakayama_suite_crash_fails_each_check_that_hits_it(monkeypatch):
@@ -174,11 +174,12 @@ EXPECTED_CLAIMS = {
 def test_claim_inventory_is_stable():
     # every claim runs exactly once per n, and none silently disappears
     for name, expected in EXPECTED_CLAIMS.items():
-        report = run_suite(name, 1, seed=2, budget=10)
-        got = {c.claim_id.split("[")[0] for c in report.checks}
-        assert got == expected, (name, got ^ expected)
-        assert len(report.checks) == len(expected)
-        assert all(c.paper_anchor for c in report.checks)
+        for n in (1, 3):
+            report = run_suite(name, n, seed=2, budget=10)
+            got = {c.claim_id.split("[")[0] for c in report.checks}
+            assert got == expected, (name, n, got ^ expected)
+            assert len(report.checks) == n * len(expected)
+            assert all(c.paper_anchor for c in report.checks)
 
 
 def test_suite_determinism():
@@ -206,6 +207,12 @@ def test_every_suite_shares_one_n_cap(name):
     assert run_suite(name, 3, budget=3).passed
     with pytest.raises(UnsupportedN):
         run_suite(name, 4)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_refuses_a_zero_budget(name):
+    with pytest.raises(ValueError):
+        run_suite(name, 1, budget=0)
 
 
 def test_report_shape():
@@ -353,6 +360,7 @@ def test_cli_index_error(capsys):
         ["nakayama", "--bless"],
         ["homogenize", "--algebra", "A", "x1"],
         ["verify", "center", "--budget", "1001"],
+        ["nf", "--n", "abc", "x1"],
     ],
 )
 def test_cli_usage_error_exit_code(capsys, argv):
@@ -493,6 +501,20 @@ def test_cli_refuses_an_oversized_product_in_every_expression_verb(capsys, opera
     assert err.startswith("error:") and err.count("\n") == 1 and err.count("error:") == 1
 
 
+def test_cli_render_refuses_a_sum_too_long_to_print(capsys):
+    # each literal has 4300 digits, which the tokenizer accepts; their sum has 4301
+    assert cli_main(["nf", "--n", "1", "9" * 4300 + " + " + "9" * 4300]) == 1
+    assert capsys.readouterr().err == "error: a coefficient has more than 4300 digits\n"
+
+
+def test_cli_comm_guard_reads_the_lower_product_when_it_is_lower(capsys):
+    # x1^9999*d1^9999 has partial degree 19998 only; d1^9999*x1^9999 reaches 0 with 9999!
+    start = time.perf_counter()
+    assert cli_main(["comm", "--n", "1", "x1^9999", "d1^9999"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: a coefficient has more than 4300 digits\n"
+
+
 def test_cli_theta_strips_a_large_z_power_at_once(capsys):
     # stripping one z at a time took 0.82 s for z^99999, linear in the exponent
     start = time.perf_counter()
@@ -502,11 +524,11 @@ def test_cli_theta_strips_a_large_z_power_at_once(capsys):
 
 
 def test_cli_product_guard_computes_the_least_partial_part_only_for_large_exchange_factors(capsys, monkeypatch):
-    from weylkit import expressions
+    from weylkit import pbw
 
     calls = []
-    least_partial_part = expressions.least_partial_part
-    monkeypatch.setattr(expressions, "least_partial_part", lambda a, b: calls.append(1) or least_partial_part(a, b))
+    least_partial_part = pbw.least_partial_part
+    monkeypatch.setattr(pbw, "least_partial_part", lambda a, b: calls.append(1) or least_partial_part(a, b))
     assert cli_main(["nf", "--n", "1", "(3*x1 - 2*d1 + z)^4"]) == 0  # 4 products
     assert calls == []
     assert cli_main(["mul", "--n", "1", "d1^9999", "x1^9999"]) == 1
@@ -537,13 +559,14 @@ def test_cli_term_guard_counts_what_multiply_builds(capsys, monkeypatch):
     # the same 10^3 terms at n = 6, where the cap falls to 1000 * 5 // 6
     assert cli_main(["mul", "--n", "6", *_exchange_powers("mul", 3)[3:]]) == 1
     assert capsys.readouterr().err == "error: the product would build more than 833 terms\n"
-    # in B! a pair of z-words counts n = 3 words, as z^2 = -(x1*d1 + x2*d2 + x3*d3): 9 pairs count 27
+    # in B! x_i*z times x_j*z builds -x_k*d_k for the one index k unused (i != j) and nothing
+    # for i == j, and every visited pair counts at least one: 9 pairs count 9
     square = ["nf", "--n", "3", "--algebra", "B!", "(x1*z + x2*z + x3*z)^2"]
-    monkeypatch.setattr(expressions, "_MAX_PRODUCT_TERMS", 27)
+    monkeypatch.setattr(expressions, "_MAX_PRODUCT_TERMS", 9)
     assert cli_main(square) == 0
-    monkeypatch.setattr(expressions, "_MAX_PRODUCT_TERMS", 26)
+    monkeypatch.setattr(expressions, "_MAX_PRODUCT_TERMS", 8)
     assert cli_main(square) == 1
-    assert capsys.readouterr().err == "error: the product would build more than 26 terms\n"
+    assert capsys.readouterr().err == "error: the product would build more than 8 terms\n"
 
 
 def test_cli_parser_is_reused_with_fresh_defaults(capsys, monkeypatch):
