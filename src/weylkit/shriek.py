@@ -310,10 +310,10 @@ def product_size(a: ShriekElement, b: ShriekElement, cap: int) -> tuple[int, int
     z^2 = -(x_1 d_1 + .. + x_n d_n).  Coefficients are signs: 0 exchange bits.
     """
     a._check_compatible(b)
-    terms, n, zz = 0, a.n, a.kind is AlgebraKind.B_SHRIEK
+    terms, n, z_squares = 0, a.n, a.kind is AlgebraKind.B_SHRIEK  # z^2 = 0 in C!
     for u in a.coeffs:
         for v in b.coeffs:
-            if zz and u.zflag and v.zflag and not (u.xmask & v.xmask or u.dmask & v.dmask):
+            if z_squares and u.zflag and v.zflag and not (u.xmask & v.xmask or u.dmask & v.dmask):
                 terms += max(1, n - (u.xmask | v.xmask | u.dmask | v.dmask).bit_count())
             else:
                 terms += 1
