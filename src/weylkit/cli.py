@@ -185,7 +185,7 @@ _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 # n = 5 no more than 500 000 / n (expressions.bounded_product); at --n 1000, nf "(x1+d1+z)^8"
 # takes 0.23-0.26 s (0.14-0.17 s at n = 1), and mul of two of them is refused in 0.35-0.41 s
 # (it prints in 0.19-0.21 s at n = 1).  dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 4 0.52-0.59 s,
-# dual --n 12 1.4 s, nakayama --n 3 0.55-0.65 s with --json; these grow fast with n.  verify
+# dual --n 12 1.4 s, nakayama --n 3 0.37-0.46 s with --json; these grow fast with n.  verify
 # takes the one suite cap, SUITE_MAX_N: verify all --n 3 1.9-2.5 s (2 CPUs, Python 3.11.7).
 _EXPR_MAX_N = 1000
 

@@ -33,11 +33,15 @@ class IllegalGenerator(WeylkitError):
 
 
 class KindMismatch(WeylkitError):
-    """Operands live in different algebras or have different pair counts."""
+    """An operand is in the wrong algebra: two operands differ in kind, or an
+    engine or operation gets a kind it does not handle."""
 
 
-class SizeMismatch(WeylkitError):
-    """Operands have different pair counts n."""
+class SizeMismatch(KindMismatch):
+    """Operands, or an element and its keys, have different pair counts n.
+
+    A subclass of :class:`KindMismatch`: the pair count is part of the algebra.
+    """
 
 
 class ZeroElement(WeylkitError):

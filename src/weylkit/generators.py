@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import IllegalGenerator, IndexOutOfRange
+from .errors import IllegalGenerator, IndexOutOfRange, KindMismatch, SizeMismatch
 
 
 class AlgebraKind(enum.Enum):
@@ -158,11 +158,10 @@ class SparseElement:
     monomials) and :class:`weylkit.shriek.ShriekElement` (keys are
     square-free words).  Construction drops zero coefficients, so the
     arithmetic below may leave zeros in the dicts it builds.  A subclass
-    supplies ``_check_keys``, ``_check_compatible``, ``_times`` (its
-    module's ``multiply``) and ``_one`` (the unit); a key supplies
-    ``degree`` and, given the pair count, ``term_key``, ``word_str`` and
-    ``json_fields``.  Two elements are equal iff kind, n and the
-    coefficient maps agree.
+    supplies ``_check_keys``, ``_times`` (its module's ``multiply``) and
+    ``_one`` (the unit); a key supplies ``degree`` and, given the pair
+    count, ``term_key``, ``word_str`` and ``json_fields``.  Two elements
+    are equal iff kind, n and the coefficient maps agree.
     """
 
     __slots__ = ("kind", "n", "coeffs")
@@ -179,6 +178,15 @@ class SparseElement:
         object.__setattr__(self, "n", n)
         self._check_keys(clean)
         object.__setattr__(self, "coeffs", clean)
+
+    def _check_compatible(self, other) -> None:
+        """Raise unless ``other`` is an element of the same type, n and kind."""
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if self.n != other.n:
+            raise SizeMismatch(f"pair counts differ: {self.n} vs {other.n}")
+        if self.kind is not other.kind:
+            raise KindMismatch(f"cannot mix {self.kind.value} with {other.kind.value}")
 
     def _like(self, coeffs: dict):
         """A new element of the same type, kind and n."""

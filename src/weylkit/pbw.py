@@ -48,6 +48,7 @@ from .errors import (
     IllegalGenerator,
     KindMismatch,
     NotDivisible,
+    SizeMismatch,
     ZeroElement,
 )
 from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
@@ -115,10 +116,6 @@ class PBWMonomial:
         return {"z": self.zexp, "x": list(self.xexps), "d": list(self.dexps)}
 
 
-def _unit_monomial(n: int) -> PBWMonomial:
-    return PBWMonomial(0, (0,) * n, (0,) * n)
-
-
 class AlgebraElement(SparseElement):
     """A canonical element: sparse map from PBW monomials to nonzero rationals.
 
@@ -137,7 +134,7 @@ class AlgebraElement(SparseElement):
         n, weyl = self.n, self.kind is AlgebraKind.A
         for m in keys:
             if len(m.xexps) != n or len(m.dexps) != n:
-                raise KindMismatch(f"monomial {m} has wrong arity for n={n}")
+                raise SizeMismatch(f"monomial {m} has wrong arity for n={n}")
             if weyl and m.zexp != 0:
                 raise IllegalGenerator("z exponent in a Weyl-algebra element")
 
@@ -149,7 +146,7 @@ class AlgebraElement(SparseElement):
 
     @staticmethod
     def one(kind: AlgebraKind, n: int) -> "AlgebraElement":
-        return AlgebraElement(kind, n, {_unit_monomial(n): Fraction(1)})
+        return AlgebraElement(kind, n, {_ranks_to_monomial((), n): Fraction(1)})
 
     @staticmethod
     def monomial(kind: AlgebraKind, n: int, m: PBWMonomial, coeff: Rational = 1) -> "AlgebraElement":
@@ -158,27 +155,9 @@ class AlgebraElement(SparseElement):
     @staticmethod
     def generator(kind: AlgebraKind, n: int, g: Generator) -> "AlgebraElement":
         g.check(n, kind)
-        xe = [0] * n
-        de = [0] * n
-        ze = 0
-        if g.family == "x":
-            xe[g.index - 1] = 1
-        elif g.family == "d":
-            de[g.index - 1] = 1
-        else:
-            ze = 1
-        return AlgebraElement(kind, n, {PBWMonomial(ze, tuple(xe), tuple(de)): Fraction(1)})
+        return AlgebraElement(kind, n, {_ranks_to_monomial((g.rank(n),), n): Fraction(1)})
 
     # -- arithmetic ----------------------------------------------------------
-
-    def _check_compatible(self, other: "AlgebraElement") -> None:
-        if not isinstance(other, AlgebraElement):
-            raise TypeError(f"expected AlgebraElement, got {type(other).__name__}")
-        if self.kind is not other.kind or self.n != other.n:
-            raise KindMismatch(
-                f"cannot combine {self.kind.value}(n={self.n}) with "
-                f"{other.kind.value}(n={other.n})"
-            )
 
     def _times(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)

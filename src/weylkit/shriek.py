@@ -23,12 +23,16 @@ word passes.  Two z's then give 0 in C!, and in B! -(x_i d_i) for each i
 that neither word uses, x_i and d_i each passing the letters ranked above
 them.  The tests check this against rewriting on every word pair, n <= 3.
 
-The z-free words form a subalgebra (the exterior algebra on the x and d
-generators) and the words with z span its complementary free rank-one
-piece; ``decompose`` splits along that direct sum.  The Frobenius form
-beta(a, b) reads off the coefficient of the top word x_1..x_n d_1..d_n z
-in a*b, and ``nakayama`` solves beta(sigma(y), -) = beta(-, y) for the
-automorphism measuring beta's asymmetry.
+The basis lists words by degree, then by ascending ranks, as
+``itertools.combinations`` yields them.  The z-free words form a subalgebra
+(the exterior algebra on the x and d generators) and the words with z span
+its complementary free rank-one piece; ``decompose`` splits along that
+direct sum.  The Frobenius form beta(a, b) is the coefficient of the top
+word x_1..x_n d_1..d_n z in a*b.  A word product u*v reaches it only when u
+and v share no x or d letter, together hold all of them, and just one holds
+z; so u pairs only with its complement (the letters u lacks), by the sign
+of their one-term product, alike in B! and C!.  ``nakayama`` solves
+beta(sigma(y), -) = beta(-, y) for the automorphism measuring beta's asymmetry.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -49,11 +54,7 @@ Rational = Fraction | int
 
 
 def _shriek_rank(g: Generator, n: int) -> int:
-    if g.family == "x":
-        return g.index - 1
-    if g.family == "d":
-        return n + g.index - 1
-    return 2 * n
+    return 2 * n if g.family == "z" else g.rank(n) - 1
 
 
 def rank_generator(r: int, n: int) -> Generator:
@@ -84,14 +85,8 @@ class ShriekWord:
         return self.xmask.bit_count() + self.dmask.bit_count() + self.zflag
 
     def ranks(self, n: int) -> tuple[int, ...]:
-        out = [i for i in range(n) if self.xmask >> i & 1]
-        out += [n + i for i in range(n) if self.dmask >> i & 1]
-        if self.zflag:
-            out.append(2 * n)
-        return tuple(out)
-
-    def sort_key(self, n: int):
-        return (self.degree, self.ranks(n))
+        letters = self.xmask | self.dmask << n | self.zflag << 2 * n  # rank r at bit r
+        return tuple(r for r in range(2 * n + 1) if letters >> r & 1)
 
     def term_key(self, n: int):
         # leading terms first, matching the PBW element term order
@@ -112,15 +107,10 @@ class ShriekWord:
 
 
 def _ranks_to_word(ranks: Iterable[int], n: int) -> ShriekWord:
-    xm = dm = zf = 0
+    letters, full = 0, (1 << n) - 1
     for r in ranks:
-        if r < n:
-            xm |= 1 << r
-        elif r < 2 * n:
-            dm |= 1 << (r - n)
-        else:
-            zf = 1
-    return ShriekWord(xm, dm, zf)
+        letters |= 1 << r
+    return ShriekWord(letters & full, letters >> n & full, letters >> 2 * n)
 
 
 class ShriekElement(SparseElement):
@@ -164,14 +154,6 @@ class ShriekElement(SparseElement):
     def degrees(self) -> set[int]:
         return {w.degree for w in self.coeffs}
 
-    def _check_compatible(self, other: "ShriekElement") -> None:
-        if not isinstance(other, ShriekElement):
-            raise TypeError(f"expected ShriekElement, got {type(other).__name__}")
-        if self.n != other.n:
-            raise SizeMismatch(f"pair counts differ: {self.n} vs {other.n}")
-        if self.kind is not other.kind:
-            raise KindMismatch(f"cannot mix {self.kind.value} with {other.kind.value}")
-
     def _times(self, other: "ShriekElement") -> "ShriekElement":
         return multiply(self, other)
 
@@ -182,19 +164,15 @@ class ShriekElement(SparseElement):
 # -- basis enumeration ---------------------------------------------------------
 
 def shriek_basis(n: int) -> list[ShriekWord]:
-    """All 2^(2n+1) basis words, sorted by (degree, word order)."""
-    words = [
-        ShriekWord(xm, dm, zf)
-        for xm in range(1 << n)
-        for dm in range(1 << n)
-        for zf in (0, 1)
-    ]
-    words.sort(key=lambda w: w.sort_key(n))
-    return words
+    """All 2^(2n+1) basis words, by degree and then by ascending rank tuple."""
+    return [w for j in range(2 * n + 2) for w in shriek_basis_of_degree(n, j)]
 
 
 def shriek_basis_of_degree(n: int, j: int) -> list[ShriekWord]:
-    return [w for w in shriek_basis(n) if w.degree == j]
+    """The degree-j words; a word's ranks ascend, so ``combinations`` lists them in order."""
+    if j < 0:
+        return []  # combinations refuses a negative length
+    return [_ranks_to_word(ranks, n) for ranks in combinations(range(2 * n + 1), j)]
 
 
 def degree_dimensions(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> list[int]:
@@ -349,22 +327,36 @@ def frobenius_functional(e: ShriekElement) -> Fraction:
     return e.coeffs.get(top_word(e.n), Fraction(0))
 
 
+def _partner(u: ShriekWord, n: int) -> tuple[ShriekWord, int]:
+    """(the complement of u, beta(u, complement)): the one word u pairs with, and how."""
+    full = (1 << n) - 1
+    partner = ShriekWord(u.xmask ^ full, u.dmask ^ full, u.zflag ^ 1)
+    ((_, sign),) = _word_product(u, partner, AlgebraKind.B_SHRIEK, n)  # one z: one term
+    return partner, sign
+
+
 def bilinear_form(a: ShriekElement, b: ShriekElement) -> Fraction:
-    """beta(a, b) = top coefficient of a*b; associative by construction."""
-    return frobenius_functional(multiply(a, b))
+    """beta(a, b), the top coefficient of a*b: each word of a meets only its partner in b."""
+    a._check_compatible(b)
+    total = Fraction(0)
+    for u, c in a.coeffs.items():
+        partner, sign = _partner(u, a.n)
+        if partner in b.coeffs:
+            total += sign * c * b.coeffs[partner]
+    return total
 
 
 def gram_matrix(n: int, j: int) -> list[list[Fraction]]:
-    """[beta(u_i, v_k)] over the degree-(j, 2n+1-j) basis pair, read off ``_word_product``."""
+    """[beta(u_i, v_k)] over the degree-(j, 2n+1-j) basis pair: one signed entry per row."""
     if not 0 <= j <= 2 * n + 1:
         raise ValueError(f"degree {j} out of range 0..{2 * n + 1}")
     rows = shriek_basis_of_degree(n, j)
-    cols = shriek_basis_of_degree(n, 2 * n + 1 - j)
-    top = top_word(n)
-    return [
-        [Fraction(dict(_word_product(u, v, AlgebraKind.B_SHRIEK, n)).get(top, 0)) for v in cols]
-        for u in rows
-    ]
+    cols = {v: k for k, v in enumerate(shriek_basis_of_degree(n, 2 * n + 1 - j))}
+    gram = [[Fraction(0)] * len(cols) for _ in rows]
+    for row, u in zip(gram, rows):
+        partner, sign = _partner(u, n)
+        row[cols[partner]] = Fraction(sign)
+    return gram
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from weylkit import (
     NotDivisible,
     PBWMonomial,
     ShriekElement,
+    SizeMismatch,
     ZeroElement,
     basis_of_degree,
     centralizer_in_degree,
@@ -118,6 +119,17 @@ def test_kind_mismatch_rejected():
         multiply(AlgebraElement.one(B, 1), AlgebraElement.one(A, 1))
     with pytest.raises(KindMismatch):
         multiply(AlgebraElement.one(B, 1), AlgebraElement.one(B, 2))
+
+
+def test_pair_count_mismatch_is_a_size_mismatch():
+    with pytest.raises(SizeMismatch):
+        multiply(AlgebraElement.one(B, 1), AlgebraElement.one(B, 2))
+    with pytest.raises(SizeMismatch):
+        AlgebraElement.one(A, 1) + AlgebraElement.one(A, 3)
+    with pytest.raises(SizeMismatch):
+        AlgebraElement(B, 2, {PBWMonomial(0, (1,), (0,)): 1})  # a key of the wrong arity
+    with pytest.raises(TypeError):
+        AlgebraElement.one(B, 1) + ShriekElement.one(1)
 
 
 def test_add_scale():

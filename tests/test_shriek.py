@@ -11,6 +11,7 @@ import sympy
 from weylkit import (
     AlgebraKind,
     Generator,
+    KindMismatch,
     ShriekElement,
     SizeMismatch,
     apply_automorphism,
@@ -85,6 +86,17 @@ def test_dims_examples():
     assert degree_dimensions(1) == [1, 3, 3, 1]
     assert degree_dimensions(2) == [1, 5, 10, 10, 5, 1]
     assert degree_dimensions(1, AlgebraKind.C_SHRIEK) == [1, 3, 3, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_basis_equals_the_sort_of_all_words(n):
+    # the oracle: every mask triple, sorted by (degree, ranks)
+    words = [ShriekWord(xm, dm, zf) for xm in range(1 << n) for dm in range(1 << n) for zf in (0, 1)]
+    words.sort(key=lambda w: (w.degree, w.ranks(n)))
+    assert shriek_basis(n) == words
+    for j in range(2 * n + 2):
+        assert shriek_basis_of_degree(n, j) == [w for w in words if w.degree == j], j
+    assert shriek_basis_of_degree(n, -1) == [] == shriek_basis_of_degree(n, 2 * n + 2)
 
 
 def test_basis_order_n1():
@@ -266,10 +278,55 @@ def test_gram_matrix_equals_the_bilinear_form_of_basis_words(n):
     word = ShriekElement.word
     for j in range(2 * n + 2):
         want = [
-            [bilinear_form(word(n, u), word(n, v)) for v in shriek_basis_of_degree(n, 2 * n + 1 - j)]
+            [frobenius_functional(multiply(word(n, u), word(n, v))) for v in shriek_basis_of_degree(n, 2 * n + 1 - j)]
             for u in shriek_basis_of_degree(n, j)
         ]
         assert gram_matrix(n, j) == want, j
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK], ids=["B!", "C!"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bilinear_form_equals_the_product_route_on_every_word_pair(n, kind):
+    els = [ShriekElement.word(n, w, 1, kind) for w in shriek_basis(n)]
+    for a, b in itertools.product(els, repeat=2):
+        assert bilinear_form(a, b) == frobenius_functional(multiply(a, b)), (a, b)
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK], ids=["B!", "C!"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bilinear_form_equals_the_product_route_on_random_elements(n, kind):
+    rng = random.Random(f"bilinear:{n}:{kind.value}")
+    words = shriek_basis(n)
+
+    def element():
+        chosen = rng.sample(words, rng.randint(0, min(16, len(words))))
+        return ShriekElement(n, {w: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for w in chosen}, kind)
+
+    for _ in range(200):
+        a, b = element(), element()
+        assert bilinear_form(a, b) == frobenius_functional(multiply(a, b)), (a, b)
+
+
+def test_bilinear_form_checks_compatibility():
+    with pytest.raises(SizeMismatch):
+        bilinear_form(ShriekElement.one(1), ShriekElement.one(2))
+    with pytest.raises(KindMismatch) as info:
+        bilinear_form(ShriekElement.one(1), ShriekElement.one(1, AlgebraKind.C_SHRIEK))
+    assert info.type is KindMismatch
+
+
+def test_pairing_builds_no_element_and_one_word_product_per_word(monkeypatch):
+    calls = []
+    for name in ("multiply", "_word_product"):
+        inner = getattr(shriek, name)
+        monkeypatch.setattr(shriek, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
+    a = ShriekElement(3, {w: 1 for w in shriek_basis(3)[::5]})
+    b = ShriekElement(3, {w: 2 for w in shriek_basis(3)[::3]})
+    bilinear_form(a, b)
+    assert calls == ["_word_product"] * len(a.coeffs)
+    calls.clear()
+    gram_matrix(3, 3)
+    assert calls == ["_word_product"] * len(shriek_basis_of_degree(3, 3))
 
 
 def test_gram_matrix_builds_no_element(monkeypatch):
@@ -280,6 +337,8 @@ def test_gram_matrix_builds_no_element(monkeypatch):
     assert linalg.det(gram_matrix(3, 3)) != 0
     assert calls == []
     shriek.bilinear_form(ShriekElement.one(3), ShriekElement.one(3))  # the wrappers count
+    assert calls == ["bilinear_form"]  # the form builds no product either
+    shriek.multiply(ShriekElement.one(3), ShriekElement.one(3))
     assert calls == ["bilinear_form", "multiply"]
 
 
