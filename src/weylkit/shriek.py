@@ -424,3 +424,28 @@ def apply_automorphism(m: NakayamaMap, e: ShriekElement) -> ShriekElement:
             img = multiply(img, factor)
         out = out + img.scaled(c)
     return out
+
+
+def defining_identity_failure(nm: NakayamaMap) -> tuple[ShriekElement, ShriekElement] | None:
+    """The first basis pair (y, x) with beta(sigma(y), x) != beta(x, y), or None.
+
+    Checks every pair, in basis order, one row y at a time: beta(sigma(y), -)
+    is nonzero only at the partners of the words of sigma(y), and beta(-, y)
+    only at the complement of y, so a row costs one ``apply_automorphism``
+    and no ``bilinear_form``.
+    """
+    n = nm.n
+    words = shriek_basis(n)
+    position = {w: i for i, w in enumerate(words)}
+    for y in words:
+        left = {}  # x -> beta(sigma(y), x)
+        for u, c in apply_automorphism(nm, ShriekElement.word(n, y)).coeffs.items():
+            partner, sign = _partner(u, n)
+            left[partner] = sign * c
+        ybar, _ = _partner(y, n)
+        right = {ybar: _partner(ybar, n)[1]}  # x -> beta(x, y)
+        wrong = [x for x in left.keys() | right.keys() if left.get(x, 0) != right.get(x, 0)]
+        if wrong:
+            x = min(wrong, key=position.__getitem__)
+            return ShriekElement.word(n, y), ShriekElement.word(n, x)
+    return None

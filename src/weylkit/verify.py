@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import linalg
-from .errors import UnknownSuite, UnsupportedN
+from .errors import DefiningIdentityFailure, UnknownSuite, UnsupportedN
 from .expressions import parse, render
 from .generators import AlgebraKind, Generator
 from .pbw import (
@@ -58,6 +58,7 @@ from .shriek import (
     apply_automorphism,
     bilinear_form,
     decompose,
+    defining_identity_failure,
     degree_dimensions,
     gram_matrix,
     multiply as smul,
@@ -557,7 +558,7 @@ def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
         return nakayama(n)
 
     def defining_identity():
-        failure = _defining_identity_failure(sigma())
+        failure = defining_identity_failure(sigma())
         if failure is None:
             return None
         y, x = failure
@@ -918,17 +919,6 @@ def golden_path(n: int) -> Path:
     return golden_dir() / f"shriek_n{n}.json"
 
 
-def _defining_identity_failure(nm: NakayamaMap) -> tuple[ShriekElement, ShriekElement] | None:
-    """The first basis pair (y, x) with beta(sigma(y), x) != beta(x, y), or None."""
-    elements = [ShriekElement.word(nm.n, w) for w in shriek_basis(nm.n)]
-    for a in elements:
-        sigma_a = apply_automorphism(nm, a)
-        for b in elements:
-            if bilinear_form(sigma_a, b) != bilinear_form(b, a):
-                return a, b
-    return None
-
-
 def _golden_data(nm: NakayamaMap) -> dict:
     """Dims, Gram determinants, Nakayama images and z scalar for ``nm.n``."""
     n = nm.n
@@ -946,22 +936,27 @@ def compute_golden(n: int) -> dict:
     """Golden data for one n: dims, Gram determinants, Nakayama images, scalar.
 
     The Nakayama images come from the exact linear solve and are
-    cross-checked against the defining identity on all basis pairs before
-    being reported, so a blessed file is itself verified oracle output.
+    cross-checked against the defining identity on all basis pairs, row by
+    row through the complement pairing (``shriek.defining_identity_failure``),
+    before being reported, so a blessed file is itself verified oracle
+    output.  Raises :class:`DefiningIdentityFailure` naming the first failing
+    pair otherwise.
     """
     nm = nakayama(n)
-    failure = _defining_identity_failure(nm)
+    failure = defining_identity_failure(nm)
     if failure is not None:
         y, x = failure
-        raise AssertionError(f"defining identity fails at ({y}, {x}); refusing to bless")
+        raise DefiningIdentityFailure(f"defining identity fails at ({y}, {x}); refusing to bless")
     return _golden_data(nm)
 
 
 def bless_golden(n: int) -> Path:
+    """Write ``compute_golden(n)``; a refused bless leaves the existing file as it was."""
+    data = compute_golden(n)
     path = golden_path(n)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(compute_golden(n), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 

@@ -25,7 +25,7 @@ from weylkit import (
     shriek_basis,
     shriek_basis_of_degree,
 )
-from weylkit.shriek import ShriekWord, multiply, top_word, rank_generator
+from weylkit.shriek import NakayamaMap, ShriekWord, defining_identity_failure, multiply, top_word, rank_generator
 from weylkit import linalg, shriek
 from weylkit.verify import random_shriek
 
@@ -369,15 +369,50 @@ def test_form_associativity(n):
 
 # -- Nakayama automorphism -----------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 2])
+def _pairwise_identity_failure(nm):
+    """The oracle: two ``bilinear_form`` calls on every basis pair, in basis order."""
+    elements = [ShriekElement.word(nm.n, w) for w in shriek_basis(nm.n)]
+    for a in elements:
+        sigma_a = apply_automorphism(nm, a)
+        for b in elements:
+            if bilinear_form(sigma_a, b) != bilinear_form(b, a):
+                return a, b
+    return None
+
+
+def _wrong_maps(nm):
+    """sigma with x1's image scaled by 2, with the images of x1 and d1 swapped, and with z's negated."""
+    images = nm.images
+    return [
+        NakayamaMap(nm.n, dict(images, x1=images["x1"].scaled(2))),
+        NakayamaMap(nm.n, dict(images, x1=images["d1"], d1=images["x1"])),
+        NakayamaMap(nm.n, dict(images, z=-images["z"])),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_nakayama_defining_identity(n):
     nm = nakayama(n)
-    words = shriek_basis(n)
-    for wa in words:
-        for wb in words:
-            a = ShriekElement.word(n, wa)
-            b = ShriekElement.word(n, wb)
-            assert bilinear_form(apply_automorphism(nm, a), b) == bilinear_form(b, a)
+    assert _pairwise_identity_failure(nm) is None
+    assert defining_identity_failure(nm) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_wise_identity_check_finds_the_pairwise_oracle_witness(n):
+    for wrong in _wrong_maps(nakayama(n)):
+        found, expected = defining_identity_failure(wrong), _pairwise_identity_failure(wrong)
+        assert expected is not None
+        assert [str(e) for e in found] == [str(e) for e in expected]
+
+
+def test_identity_check_reads_each_row_off_the_pairing(monkeypatch):
+    nm = nakayama(3)
+    calls = []
+    for name in ("bilinear_form", "apply_automorphism"):
+        inner = getattr(shriek, name)
+        monkeypatch.setattr(shriek, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
+    assert defining_identity_failure(nm) is None
+    assert calls == ["apply_automorphism"] * len(shriek_basis(3))  # 128 rows, no bilinear_form
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylkit import UnknownSuite, UnsupportedN, run_suite
+from weylkit import DefiningIdentityFailure, UnknownSuite, UnsupportedN, run_suite
 from weylkit.cli import _VERBS, cli_main
 from weylkit.verify import SUITE_NAMES, bless_golden, compute_golden, load_golden
 
@@ -244,6 +244,40 @@ def test_golden_mismatch_detected(tmp_path, monkeypatch):
     report = run_suite("nakayama", 1, seed=1, budget=10)
     golden_checks = [c for c in report.checks if c.claim_id.startswith("golden")]
     assert golden_checks and not golden_checks[0].passed
+
+
+def _wrong_nakayama(monkeypatch):
+    """Make ``verify.nakayama`` return sigma with x1's image scaled by 2."""
+    from weylkit import verify
+    from weylkit.shriek import NakayamaMap
+
+    real = verify.nakayama
+
+    def wrong(n):
+        images = real(n).images
+        return NakayamaMap(n, dict(images, x1=images["x1"].scaled(2)))
+
+    monkeypatch.setattr(verify, "nakayama", wrong)
+
+
+def test_refused_bless_keeps_the_golden_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("WEYLKIT_GOLDEN_DIR", str(tmp_path))
+    before = bless_golden(1).read_bytes()
+    _wrong_nakayama(monkeypatch)
+    with pytest.raises(DefiningIdentityFailure, match=r"defining identity fails at \(x1, d1\*z\)"):
+        bless_golden(1)
+    assert (tmp_path / "shriek_n1.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [["verify", "nakayama", "--n", "1", "--bless"], ["nakayama", "--n", "1", "--json"]])
+def test_cli_refused_bless_is_a_named_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("WEYLKIT_GOLDEN_DIR", str(tmp_path))
+    _wrong_nakayama(monkeypatch)
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: defining identity fails at (x1, d1*z); refusing to bless\n"
+    assert not (tmp_path / "shriek_n1.json").exists()
 
 
 def test_shipped_golden_files_match():
