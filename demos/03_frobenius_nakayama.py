@@ -46,7 +46,7 @@ for j in range(4):
     det = linalg.det(gram_matrix(1, j))
     print(f"det gram(1,{j}) =", det)
 
-# The Nakayama automorphism, from the exact linear solve.  The top degree
+# The Nakayama automorphism, read off the complement pairing.  The top degree
 # 2n+1 is odd, so beta turns out symmetric here and sigma is the identity;
 # the kit computes this rather than assuming it.
 nm = nakayama(1)

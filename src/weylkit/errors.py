@@ -56,10 +56,6 @@ class RankDeficientInput(WeylkitError):
     """Relation list is linearly dependent."""
 
 
-class SingularGram(WeylkitError):
-    """A Gram matrix of the Frobenius form came out singular (implementation bug)."""
-
-
 class DefiningIdentityFailure(WeylkitError):
     """A Nakayama map fails beta(sigma(y), x) = beta(x, y) on a basis pair, so its
     golden data is refused (implementation bug)."""

@@ -75,25 +75,21 @@ class PBWMonomial:
         """The d-filtration degree: total x,d exponent; z counts 0."""
         return sum(self.xexps) + sum(self.dexps)
 
-    def sort_key(self):
-        # Basis-listing order: ascending degree, then ascending z exponent
-        # (so within a homogeneous degree the terms of highest partial
-        # degree come first, the way x1^2*d1 + 2*z^2*x1 is normally
-        # written), then leading x- and d-exponents first.
+    def term_key(self, n: int):
+        # Term order inside an element, and basis order inside a degree:
+        # leading (highest-degree) terms first, so x1*d1 + 1 rather than
+        # 1 + x1*d1; then ascending z exponent (so within a homogeneous
+        # degree the terms of highest partial degree come first, the way
+        # x1^2*d1 + 2*z^2*x1 is normally written), then leading x- and
+        # d-exponents first.  The exponent tuples fix the pair count, so n
+        # (taken to match ShriekWord) is unused here and in the next two
+        # methods.
         return (
-            self.degree,
+            -self.degree,
             self.zexp,
             tuple(-e for e in self.xexps),
             tuple(-e for e in self.dexps),
         )
-
-    def term_key(self, n: int):
-        # Term order inside an element: leading (highest-degree) terms
-        # first, so x1*d1 + 1 rather than 1 + x1*d1; ties break as in
-        # sort_key.  The exponent tuples fix the pair count, so n (taken
-        # to match ShriekWord) is unused here and in the next two methods.
-        degree, *ties = self.sort_key()
-        return (-degree, *ties)
 
     def __str__(self) -> str:
         parts = []
@@ -418,6 +414,8 @@ def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
 
     For kinds B and C there are C(d+2n, 2n) of them; kind A omits z.
     """
+    if kind.is_shriek:
+        raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     slots = 2 * n if kind is AlgebraKind.A else 2 * n + 1
@@ -434,7 +432,7 @@ def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
         else:
             ze, rest = exps[0], exps[1:]
         monomials.append(PBWMonomial(ze, tuple(rest[:n]), tuple(rest[n:])))
-    monomials.sort(key=PBWMonomial.sort_key)
+    monomials.sort(key=lambda m: m.term_key(n))
     return monomials
 
 
@@ -489,7 +487,9 @@ def z_divides(a: AlgebraElement) -> bool:
 
 
 def divide_by_z(a: AlgebraElement, k: int = 1) -> AlgebraElement:
-    """a / z^k, for an ``a`` whose every term carries z^k."""
+    """a / z^k (k >= 0), for an ``a`` whose every term carries z^k."""
+    if k < 0:
+        raise ValueError("divide_by_z needs k >= 0")
     if any(m.zexp < k for m in a.coeffs):
         raise NotDivisible(f"element has a term with no z^{k} factor")
     if k == 0:

@@ -553,7 +553,7 @@ def _suite_frobenius(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
 def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
     words = shriek_basis(n)
 
-    @functools.cache  # as in _suite_center: a solve that raises fails each check that asks
+    @functools.cache  # one map for every check; read off the pairing, it raises nothing
     def sigma() -> NakayamaMap:
         return nakayama(n)
 
@@ -935,12 +935,12 @@ def _golden_data(nm: NakayamaMap) -> dict:
 def compute_golden(n: int) -> dict:
     """Golden data for one n: dims, Gram determinants, Nakayama images, scalar.
 
-    The Nakayama images come from the exact linear solve and are
-    cross-checked against the defining identity on all basis pairs, row by
-    row through the complement pairing (``shriek.defining_identity_failure``),
-    before being reported, so a blessed file is itself verified oracle
-    output.  Raises :class:`DefiningIdentityFailure` naming the first failing
-    pair otherwise.
+    The Nakayama images are read off the complement pairing (the tests
+    keep the exact Gram solve as their oracle) and are cross-checked
+    against the defining identity on all basis pairs, row by row through
+    the same pairing (``shriek.defining_identity_failure``), before being
+    reported, so a blessed file is itself verified oracle output.  Raises
+    :class:`DefiningIdentityFailure` naming the first failing pair otherwise.
     """
     nm = nakayama(n)
     failure = defining_identity_failure(nm)

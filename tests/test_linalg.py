@@ -102,4 +102,4 @@ def test_each_system_is_eliminated_once(eliminations):
     assert len(eliminations) == 2  # rank of the primal and of the dual relations
     eliminations.clear()
     nakayama(2)
-    assert len(eliminations) == 2  # one solve for all right-hand sides, one det
+    assert eliminations == []  # read off the complement pairing: nothing to eliminate

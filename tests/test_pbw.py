@@ -231,7 +231,7 @@ def brute_force_monomials(kind, n, d):
 def test_basis_matches_enumeration_oracle(n, d):
     got = basis_of_degree(B, n, d)
     want = brute_force_monomials(B, n, d)
-    assert sorted(got, key=PBWMonomial.sort_key) == sorted(want, key=PBWMonomial.sort_key)
+    assert sorted(got, key=lambda m: m.term_key(n)) == sorted(want, key=lambda m: m.term_key(n))
     assert len(got) == comb(d + 2 * n, 2 * n)
     assert len(set(got)) == len(got)
 
@@ -246,6 +246,12 @@ def test_basis_weyl_kind_omits_z():
     got = basis_of_degree(A, 1, 2)
     assert all(m.zexp == 0 for m in got)
     assert len(got) == comb(2 + 1, 1)
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK])
+def test_basis_refuses_the_shriek_kinds(kind):
+    with pytest.raises(KindMismatch):
+        basis_of_degree(kind, 1, 1)
 
 
 # -- filtration laws ---------------------------------------------------------------
@@ -370,7 +376,7 @@ def dense_centralizer(kind, n, d):
     rows = []
     for g in gens:
         columns = [commutator(AlgebraElement.monomial(kind, n, m), g).coeffs for m in basis]
-        for t in sorted({t for col in columns for t in col}, key=PBWMonomial.sort_key):
+        for t in sorted({t for col in columns for t in col}, key=lambda t: t.term_key(n)):
             rows.append([col.get(t, Fraction(0)) for col in columns])
     return [{m: v for m, v in zip(basis, vec) if v} for vec in linalg.nullspace(rows, len(basis))]
 
@@ -427,3 +433,9 @@ def test_divide_by_z_requires_divisibility():
     assert str(divide_by_z(nf("z^3*x1 + z^2", 1, B), 2)) == "z*x1 + 1"
     with pytest.raises(NotDivisible):
         divide_by_z(nf("z^3*x1 + z^2", 1, B), 3)
+
+
+def test_z_powers_refuse_a_negative_k():
+    for shift in (divide_by_z, z_shift):
+        with pytest.raises(ValueError):
+            shift(nf("x1", 1, B), -1)

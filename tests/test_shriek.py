@@ -88,6 +88,12 @@ def test_dims_examples():
     assert degree_dimensions(1, AlgebraKind.C_SHRIEK) == [1, 3, 3, 1]
 
 
+@pytest.mark.parametrize("kind", [AlgebraKind.A, AlgebraKind.B, AlgebraKind.C])
+def test_dims_refuse_the_pbw_kinds(kind):
+    with pytest.raises(KindMismatch):
+        degree_dimensions(1, kind)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_basis_equals_the_sort_of_all_words(n):
     # the oracle: every mask triple, sorted by (degree, ranks)
@@ -388,6 +394,38 @@ def _wrong_maps(nm):
         NakayamaMap(nm.n, dict(images, x1=images["d1"], d1=images["x1"])),
         NakayamaMap(nm.n, dict(images, z=-images["z"])),
     ]
+
+
+def _solved_nakayama(n):
+    """The oracle: solve beta(sigma(y), v) = beta(v, y) on the Gram matrices of degrees (1, 2n) and (2n, 1)."""
+    deg1 = shriek_basis_of_degree(n, 1)
+    g1 = shriek.gram_matrix(n, 1)
+    system = [list(col) for col in zip(*g1)]  # transpose
+    solution = linalg.solve(system, shriek.gram_matrix(n, 2 * n))  # column jy belongs to deg1[jy]
+    assert linalg.det(solution) != 0
+    return {
+        y.word_str(n): ShriekElement(n, {u: row[jy] for u, row in zip(deg1, solution) if row[jy]})
+        for jy, y in enumerate(deg1)
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nakayama_equals_the_gram_solve(n):
+    got = nakayama(n).images
+    want = _solved_nakayama(n)
+    assert list(got) == list(want)
+    assert got == want
+
+
+def test_nakayama_solves_no_system(monkeypatch):
+    calls = []
+    for module, name in ((linalg, "solve"), (linalg, "det"), (shriek, "gram_matrix")):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
+    nakayama(3)
+    assert calls == []
+    _solved_nakayama(1)  # the wrappers count
+    assert calls == ["gram_matrix", "gram_matrix", "solve", "det"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
