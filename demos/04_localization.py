@@ -23,10 +23,10 @@ from weylkit import (
     multiply,
     normal_form,
     parse,
+    render,
     theta,
     theta_inverse,
 )
-from weylkit.localization import render_localized
 
 A, B = AlgebraKind.A, AlgebraKind.B
 
@@ -40,7 +40,7 @@ def ael(text):
 
 
 # Canonical fractions strip common z factors:
-print(render_localized(make(bel("z^2*x1 + z^3"), 3)))   # (x1 + z)/z
+print(render(make(bel("z^2*x1 + z^3"), 3)))   # (x1 + z)/z
 
 # Dehomogenization sends z to 1:
 print(dehomogenize(bel("x1*d1 + z^2")))                 # x1*d1 + 1
@@ -67,5 +67,5 @@ assert theta_inverse(theta(frac)) == frac
 a, b2 = ael("x1*d1 + 1"), ael("d1")
 lhs = loc_multiply(mu(a, 1), mu(b2, -2))
 rhs = mu(multiply(a, b2), -1)
-print("mu(a,1)*mu(b,-2) =", render_localized(lhs))
+print("mu(a,1)*mu(b,-2) =", render(lhs))
 assert lhs == rhs

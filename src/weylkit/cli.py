@@ -13,19 +13,19 @@ import argparse
 import json
 import sys
 import textwrap
+from math import comb
 from typing import Callable, NamedTuple
 
 from .errors import UnsupportedN, WeylkitError
 from .expressions import GRAMMAR, bounded_product, evaluate, render
 from .generators import AlgebraKind
-from .pbw import basis_of_degree, centralizer_in_degree, graded_degree
+from .pbw import centralizer_in_degree, graded_degree
 from .quadratic import dual_presentation, relation_text, relations_of
 from .shriek import degree_dimensions, nakayama
 from .localization import (
     dehomogenize,
     make,
     mu,
-    render_localized,
     theta,
     theta_inverse,
 )
@@ -78,7 +78,9 @@ def _dims(args) -> None:
     if args.algebra.is_shriek:
         dims = degree_dimensions(args.n, args.algebra)
     else:
-        dims = [len(basis_of_degree(args.algebra, args.n, d)) for d in range(0, 9)]
+        # the degree-d monomials in s commuting letters, as pbw.basis_of_degree lists them
+        s = 2 * args.n if args.algebra is A else 2 * args.n + 1
+        dims = [comb(d + s - 1, s - 1) for d in range(0, 9)]
     if args.format == "json":
         print(json.dumps({"algebra": args.algebra.value, "n": args.n, "dims": dims}))
     else:
@@ -137,7 +139,7 @@ def _nakayama(args) -> None:
 
 
 def _homogenize(args) -> None:
-    print(render_localized(theta_inverse(evaluate(args.expr[0], args.n, A)), args.format))
+    print(render(theta_inverse(evaluate(args.expr[0], args.n, A)), args.format))
 
 
 def _dehomogenize(args) -> None:
@@ -151,7 +153,7 @@ def _theta(args) -> None:
 
 
 def _mu(args) -> None:
-    print(render_localized(mu(evaluate(args.expr[0], args.n, A), args.t), args.format))
+    print(render(mu(evaluate(args.expr[0], args.n, A), args.t), args.format))
 
 
 def _verify(args) -> int:
@@ -184,7 +186,8 @@ _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 # holds two length-n exponent vectors, so no product builds more than 100 000 terms, and past
 # n = 5 no more than 500 000 / n (expressions.bounded_product); at --n 1000, nf "(x1+d1+z)^8"
 # takes 0.23-0.26 s (0.14-0.17 s at n = 1), and mul of two of them is refused in 0.35-0.41 s
-# (it prints in 0.19-0.21 s at n = 1).  dims --n 7 3.5-3.8 s (--n 8 took 8.9 s), center --n 4 0.52-0.59 s,
+# (it prints in 0.19-0.21 s at n = 1).  dims --n 1000 counts by formula: 0.09-0.13 s for A, B
+# and C, 0.26-0.44 s for B! and C!, which print 869 252 bytes.  center --n 4 0.52-0.59 s,
 # dual --n 12 1.4 s, nakayama --n 3 0.16-0.21 s with --json; these grow fast with n.  verify
 # takes the one suite cap, SUITE_MAX_N: verify all --n 3 1.9-2.5 s (2 CPUs, Python 3.11.7).
 _EXPR_MAX_N = 1000
@@ -193,7 +196,7 @@ _VERBS = {
     "nf": _Verb(_nf, "normal form of an expression", _EXPR_MAX_N, exprs=1, kinds=_ALL_KINDS),
     "mul": _Verb(_product, "product of two expressions", _EXPR_MAX_N, exprs=2, kinds=_ALL_KINDS),
     "comm": _Verb(_product, "commutator of two expressions", _EXPR_MAX_N, exprs=2, kinds=_ALL_KINDS),
-    "dims": _Verb(_dims, "graded dimensions", 7, kinds=_ALL_KINDS),
+    "dims": _Verb(_dims, "graded dimensions", _EXPR_MAX_N, kinds=_ALL_KINDS),
     "center": _Verb(_center, "centralizer bases in degrees 0..5", 4),
     "dual": _Verb(_dual, "quadratic-dual presentation of B or C", 12, kinds=("B", "C")),
     "nakayama": _Verb(_nakayama, "Nakayama automorphism data", 3),

@@ -1,4 +1,4 @@
-"""Text and JSON frontend for algebra elements.
+"""Text and JSON frontend for algebra elements and localized fractions.
 
 Two routes read the same grammar.  ``evaluate`` computes the element a
 text denotes with the algebra's own arithmetic, and the CLI verbs use it.
@@ -19,6 +19,9 @@ coefficients before building it; the terms are counted by the engine that
 builds them, ``pbw.product_size`` or ``shriek.product_size``.  ``parse``
 refuses a product of free words longer than ``_MAX_FREE_SIZE`` letters in
 all.  Both add the summands of a sum in pairs.
+
+``render`` prints every value the CLI prints: PBW elements, ``B!``/``C!``
+elements and the fractions of ``localization``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Any, Callable, NamedTuple
 from .errors import ExpressionTooLarge, IndexOutOfRange, ParseError
 from .generators import AlgebraKind, FreeExpression, Generator, SparseElement, power
 from . import pbw, shriek
+from .localization import LocalizedElement
 from .pbw import AlgebraElement
 from .shriek import ShriekElement
 
@@ -334,27 +338,38 @@ def format_terms(parts: list[tuple[Fraction, str]]) -> str:
     return "".join(pieces)
 
 
-def render(e, format: str = "text") -> str:
-    """Deterministic canonical text or JSON for an element.
+def _text(e: SparseElement | LocalizedElement) -> str:
+    if isinstance(e, LocalizedElement):
+        if e.zpow == 0:
+            return _text(e.numerator)
+        den = "z" if e.zpow == 1 else f"z^{e.zpow}"
+        return f"({_text(e.numerator)})/{den}"
+    return format_terms([(c, key.word_str(e.n)) for key, c in e.terms()])
 
-    Accepts PBW elements and shriek elements; terms come out in canonical
-    order, so distinct canonical elements always render differently.
+
+def _json_dict(e: SparseElement | LocalizedElement) -> dict:
+    if isinstance(e, LocalizedElement):
+        return {"num": _json_dict(e.numerator), "zpow": e.zpow}
+    return {
+        "algebra": e.kind.value,
+        "n": e.n,
+        "terms": [{"coeff": f"{c.numerator}/{c.denominator}", **key.json_fields(e.n)} for key, c in e.terms()],
+    }
+
+
+def render(e, format: str = "text") -> str:
+    """Deterministic canonical text or JSON for an element or a fraction.
+
+    Accepts PBW elements, shriek elements and ``LocalizedElement``; terms
+    come out in canonical order, so distinct canonical values always render
+    differently.  A fraction num/z^k prints as ``num``, ``(num)/z`` or
+    ``(num)/z^k``, and in JSON as ``{"num": <element>, "zpow": k}``.
     """
     if format not in ("text", "json"):
         raise ValueError(f"unknown render format {format!r}")
-    if not isinstance(e, SparseElement):
+    if not isinstance(e, (SparseElement, LocalizedElement)):
         raise TypeError(f"cannot render {type(e).__name__}")
-    terms = e.terms()
     try:
-        if format == "text":
-            return format_terms([(c, key.word_str(e.n)) for key, c in terms])
-        return json.dumps({
-            "algebra": e.kind.value,
-            "n": e.n,
-            "terms": [
-                {"coeff": f"{c.numerator}/{c.denominator}", **key.json_fields(e.n)}
-                for key, c in terms
-            ],
-        })
+        return _text(e) if format == "text" else json.dumps(_json_dict(e))
     except ValueError as exc:  # Python's limit on int-to-str conversion
         raise ExpressionTooLarge(f"a coefficient has more than {sys.get_int_max_str_digits()} digits") from exc

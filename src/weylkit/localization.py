@@ -14,11 +14,12 @@ The maps here are all element-level:
 * ``theta``         -- degree-zero fractions -> Weyl algebra, b/z^k |-> b(1,x,d);
 * ``mu``            -- (a, t) |-> the degree-t fraction over a, so that the
   Weyl algebra with z, z^-1 adjoined matches the whole localized ring.
+
+``expressions.render`` prints fractions, as text and as JSON.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,11 +67,7 @@ class LocalizedElement:
     def __str__(self) -> str:
         from .expressions import render
 
-        num = render(self.numerator, "text")
-        if self.zpow == 0:
-            return num
-        den = "z" if self.zpow == 1 else f"z^{self.zpow}"
-        return f"({num})/{den}"
+        return render(self)
 
 
 def make(b: AlgebraElement, k: int = 0) -> LocalizedElement:
@@ -168,9 +165,7 @@ def theta(e: LocalizedElement) -> AlgebraElement:
     if e.is_zero():
         return AlgebraElement.zero(AlgebraKind.A, e.n)
     if not e.numerator.is_homogeneous() or graded_degree(e.numerator) != e.zpow:
-        raise NotDegreeZero(
-            f"fraction has degree != 0 (numerator degrees {sorted({m.degree for m in e.numerator.coeffs})}, zpow {e.zpow})"
-        )
+        raise NotDegreeZero("the fraction is not homogeneous of degree 0")
     return dehomogenize(e.numerator)
 
 
@@ -191,18 +186,3 @@ def mu(a: AlgebraElement, t: int = 0) -> LocalizedElement:
         return make(z_shift(b, t), k)
     return make(b, k - t)
 
-
-# -- serialization ----------------------------------------------------------------
-
-def localized_to_json_dict(e: LocalizedElement) -> dict:
-    from .expressions import render
-
-    return {"num": json.loads(render(e.numerator, "json")), "zpow": e.zpow}
-
-
-def render_localized(e: LocalizedElement, format: str = "text") -> str:
-    if format == "text":
-        return str(e)
-    if format == "json":
-        return json.dumps(localized_to_json_dict(e))
-    raise ValueError(f"unknown render format {format!r}")

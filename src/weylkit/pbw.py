@@ -403,10 +403,6 @@ def graded_degree(a: AlgebraElement) -> int:
     return max(m.degree for m in a.coeffs)
 
 
-def graded_component(a: AlgebraElement, d: int) -> AlgebraElement:
-    return AlgebraElement(a.kind, a.n, {m: c for m, c in a.coeffs.items() if m.degree == d})
-
-
 # -- bases and the centralizer -------------------------------------------------
 
 def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
@@ -418,20 +414,9 @@ def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
         raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    slots = 2 * n if kind is AlgebraKind.A else 2 * n + 1
-    monomials = []
-    for cuts in itertools.combinations(range(d + slots - 1), slots - 1):
-        exps = []
-        prev = -1
-        for c in cuts:
-            exps.append(c - prev - 1)
-            prev = c
-        exps.append(d + slots - 2 - prev)
-        if kind is AlgebraKind.A:
-            ze, rest = 0, exps
-        else:
-            ze, rest = exps[0], exps[1:]
-        monomials.append(PBWMonomial(ze, tuple(rest[:n]), tuple(rest[n:])))
+    first = 1 if kind is AlgebraKind.A else 0  # kind A has no z, rank 0
+    ranks = itertools.combinations_with_replacement(range(first, 2 * n + 1), d)
+    monomials = [_ranks_to_monomial(w, n) for w in ranks]
     monomials.sort(key=lambda m: m.term_key(n))
     return monomials
 

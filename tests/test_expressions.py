@@ -170,6 +170,11 @@ def test_render_json_shape():
     )
 
 
+def test_render_refuses_other_values():
+    with pytest.raises(TypeError):
+        render(object())
+
+
 def test_render_coefficient_styles():
     e = AlgebraElement(
         B,

@@ -7,6 +7,7 @@ import pytest
 from weylkit import (
     AlgebraElement,
     AlgebraKind,
+    ExpressionTooLarge,
     Generator,
     KindMismatch,
     LocalizedElement,
@@ -24,12 +25,12 @@ from weylkit import (
     normal_form,
     parse,
     partial_degree,
+    render,
     theta,
     theta_inverse,
     z_divides,
     z_shift,
 )
-from weylkit.localization import render_localized
 from weylkit.verify import random_element, random_homogeneous
 
 A, B = AlgebraKind.A, AlgebraKind.B
@@ -237,7 +238,7 @@ def test_theta_multiplicative():
 def test_mu_examples():
     assert mu(AlgebraElement.one(A, 1), 0) == make(AlgebraElement.one(B, 1), 0)
     assert mu(ael("x1*d1 + 1"), 0) == make(bel("x1*d1 + z^2"), 2)
-    assert render_localized(mu(ael("x1*d1 + 1"), 0)) == "(x1*d1 + z^2)/z^2"
+    assert render(mu(ael("x1*d1 + 1"), 0)) == "(x1*d1 + z^2)/z^2"
 
 
 def test_mu_degree_shift():
@@ -275,11 +276,31 @@ def test_mu_additive_in_a():
         assert loc_equals(loc_add(mu(a, t), mu(b, t)), mu(a + b, t))
 
 
+def test_render_prints_fractions():
+    # num, (num)/z or (num)/z^k; the zero fraction is 0/z^0
+    cases = [
+        (make(bel("x1*d1 + z^2"), 0), "x1*d1 + z^2"),
+        (make(bel("z^2*x1 + z^3"), 3), "(x1 + z)/z"),
+        (mu(ael("-3/2*d1"), -3), "(-3/2*d1)/z^4"),
+        (make(AlgebraElement.zero(B, 1), 4), "0"),
+    ]
+    for e, text in cases:
+        assert render(e) == render(e, "text") == str(e) == text
+    zero = make(AlgebraElement.zero(B, 1), 4)
+    assert render(zero, "json") == '{"num": {"algebra": "B", "n": 1, "terms": []}, "zpow": 0}'
+
+
 def test_localized_json():
     e = mu(ael("x1*d1 + 1"), 0)
-    doc = render_localized(e, "json")
-    import json
+    assert render(e, "json") == (
+        '{"num": {"algebra": "B", "n": 1, "terms": '
+        '[{"coeff": "1/1", "z": 0, "x": [1], "d": [1]}, '
+        '{"coeff": "1/1", "z": 2, "x": [0], "d": [0]}]}, "zpow": 2}'
+    )
 
-    parsed = json.loads(doc)
-    assert parsed["zpow"] == 2
-    assert parsed["num"]["algebra"] == "B"
+
+@pytest.mark.parametrize("format", ["text", "json"])
+def test_render_refuses_an_unprintable_z_power(format):
+    e = make(bel("x1"), 10**4300)  # 4301 digits
+    with pytest.raises(ExpressionTooLarge):
+        render(e, format)

@@ -22,7 +22,6 @@ from weylkit import (
     centralizer_in_degree,
     commutator,
     divide_by_z,
-    graded_component,
     graded_degree,
     multiply,
     normal_form,
@@ -191,14 +190,6 @@ def test_partial_degree_ignores_z():
 
 def test_partial_degree_of_exchange_element():
     assert partial_degree(nf("x1^2*d1 + 2*z^2*x1", 1, B)) == 3
-
-
-def test_graded_component():
-    e = nf("x1*d1 + z^2", 1, B)
-    assert graded_component(e, 2) == e
-    assert graded_component(e, 1).is_zero()
-    mixed = nf("x1 + x1*d1", 1, B)
-    assert str(graded_component(mixed, 1)) == "x1"
 
 
 def test_degree_of_zero_is_an_error():

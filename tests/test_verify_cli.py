@@ -406,7 +406,7 @@ def test_cli_usage_error_exit_code(capsys, argv):
 _VERB_MAX_N = {
     "center": (4, 0),
     "nakayama": (3, 0),
-    "dims": (7, 0),
+    "dims": (1000, 0),
     "dual": (12, 0),
     "nf": (1000, 1),
     "mul": (1000, 2),
@@ -421,7 +421,7 @@ _VERB_MAX_N = {
 
 @pytest.mark.parametrize("verb", list(_VERB_MAX_N))
 def test_cli_n_guard_fires_before_work(capsys, verb):
-    # one past each cap: dims --n 8 took 8.9 s and dims --n 12 over 60 s unguarded;
+    # one past each cap: unguarded, center, dual and nakayama grow fast with n, and
     # nf --n 1000000000 x1 died allocating its exponent vectors
     max_n, exprs = _VERB_MAX_N[verb]
     over = max_n + 1
@@ -643,6 +643,10 @@ def _argvs(draw):
 @given(_argvs())
 @example(["nf", "--n", "1", "--", "d1^8*x1^8"])
 @example(["nf", "--n", "1", "--", "(d1+x1+z)^8"])
+# a z power, or a degree in an error message, past Python's 4300-digit int-to-str limit
+@example(["mu", "--n", "1", "x1", "--", "-" + "9" * 4300])
+@example(["mu", "--n", "1", "--json", "x1", "--", "-" + "9" * 4300])
+@example(["theta", "--n", "1", "--", f"(x1^{'9' * 4300})^2 + x1"])
 def test_cli_fuzz_ends_in_a_clean_exit(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
