@@ -372,4 +372,5 @@ def render(e, format: str = "text") -> str:
     try:
         return _text(e) if format == "text" else json.dumps(_json_dict(e))
     except ValueError as exc:  # Python's limit on int-to-str conversion
-        raise ExpressionTooLarge(f"a coefficient has more than {sys.get_int_max_str_digits()} digits") from exc
+        _refuse_unprintable((e.numerator if isinstance(e, LocalizedElement) else e).coeffs.values())
+        raise ExpressionTooLarge(f"an exponent has more than {sys.get_int_max_str_digits()} digits") from exc

@@ -52,7 +52,6 @@ from .errors import (
     ZeroElement,
 )
 from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
-from . import linalg
 
 Rational = Fraction | int
 
@@ -424,44 +423,32 @@ def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
 def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElement]:
     """Basis of the homogeneous degree-d elements commuting with every generator.
 
-    Exact linear solve: unknowns are coefficients over the degree-d basis,
-    one equation per generator and degree-(d+1) monomial.  z is central,
-    so only x_i and d_i give equations.  The column of a basis monomial m
-    and a generator g is [m, g], read off ``_mul_monomials(m, g)`` and
-    ``_mul_monomials(g, m)`` without building an element.
-
-    ``ad(x_i)`` and ``ad(d_i)`` shift the Z^n weight (x-exponents minus
-    d-exponents) of every monomial by +e_i resp. -e_i, so the system is
-    block-diagonal by weight, and each weight block of the basis is solved
-    alone.  The result is still the basis ``linalg.nullspace`` gives for the
-    whole system, in its order.  That basis has one vector per free column,
-    and a vector's last nonzero entry is its free column.  A block keeps its
-    columns in basis order, so it has the same free columns and the same
-    vectors; sorting them by the basis index of their last nonzero entry
-    restores the order.
+    One equation per generator g and degree-(d+1) monomial t: the
+    t-coefficient of [a, g] vanishes, for a over the degree-d span.  z is
+    central, so only x_i and d_i give equations.  [m, g] for a basis monomial m = z^a x^P d^Q is read off
+    ``_mul_monomials``: it is q_i*c*z^a x^P d^(Q-e_i) for g = x_i and
+    -p_i*c*z^a x^(P-e_i) d^Q for g = d_i (c = z^2, 1 or 0 by kind).  No two
+    monomials reach one (g, t), so each equation has one unknown and the
+    solutions are spanned by the monomials whose commutators all vanish,
+    in basis order.  A (g, t) reached twice would void that argument, so
+    it raises RuntimeError.
     """
-    basis = basis_of_degree(kind, n, d)
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for j, m in enumerate(basis):
-        blocks.setdefault(tuple(x - e for x, e in zip(m.xexps, m.dexps)), []).append(j)
     gens = [_ranks_to_monomial((r,), n) for r in range(1, 2 * n + 1)]  # x_1..x_n, d_1..d_n
-    found: list[tuple[int, dict[PBWMonomial, Fraction]]] = []
-    for cols in blocks.values():
-        rows: list[list[int]] = []
+    reached: set[tuple[PBWMonomial, PBWMonomial]] = set()
+    central = []
+    for m in basis_of_degree(kind, n, d):
+        pairs = set()  # the (g, t) with t a term of [m, g]
         for g in gens:
-            columns = []
-            for j in cols:  # the column of basis[j]: the commutator [basis[j], g]
-                col = dict(_mul_monomials(basis[j], g, kind, n))  # its terms are distinct
-                for t, k in _mul_monomials(g, basis[j], kind, n):
-                    col[t] = col.get(t, 0) - k
-                columns.append({t: k for t, k in col.items() if k})
-            targets = {t for col in columns for t in col}
-            rows.extend([col.get(t, 0) for col in columns] for t in targets)
-        for vec in linalg.nullspace(rows, len(cols)):
-            support = [(j, v) for j, v in zip(cols, vec) if v]
-            found.append((support[-1][0], {basis[j]: v for j, v in support}))
-    found.sort(key=lambda item: item[0])
-    return [AlgebraElement(kind, n, coeffs) for _, coeffs in found]
+            comm = dict(_mul_monomials(m, g, kind, n))  # its terms are distinct
+            for t, k in _mul_monomials(g, m, kind, n):
+                comm[t] = comm.get(t, 0) - k
+            pairs.update((g, t) for t, k in comm.items() if k)
+        for g, t in pairs & reached:
+            raise RuntimeError(f"two monomials of degree {d} reach {t} in [-, {g}]")
+        reached |= pairs
+        if not pairs:
+            central.append(AlgebraElement.monomial(kind, n, m))
+    return central
 
 
 # -- divisibility by z ---------------------------------------------------------

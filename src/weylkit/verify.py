@@ -363,7 +363,7 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
 def _suite_center(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
     max_degree = 5
 
-    @functools.cache  # a solve that raises is not cached: it fails each check that asks
+    @functools.cache  # a read-off that raises is not cached: it fails each check that asks
     def centralizer(d: int) -> list[AlgebraElement]:
         return centralizer_in_degree(AlgebraKind.B, n, d)
 

@@ -68,8 +68,10 @@ def test_det_of_the_empty_matrix_is_one():
 
 
 def test_block_kernels_sorted_by_last_entry_are_the_whole_kernel():
-    # the argument of pbw.centralizer_in_degree: each vector of a block-diagonal
-    # system's nullspace lies in one block and ends at its free column
+    # what lets a system split into independent blocks (by Z^n weight, say) be solved
+    # block by block: each nullspace vector of a block-diagonal system lies in one
+    # block and ends at its free column, so the block kernels, sorted by last entry,
+    # are the whole kernel in its order
     rng = random.Random(11)
     for _ in range(300):
         ncols = rng.randint(1, 8)

@@ -541,6 +541,21 @@ def test_cli_render_refuses_a_sum_too_long_to_print(capsys):
     assert capsys.readouterr().err == "error: a coefficient has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "--n", "1", "--", f"(x1^{'9' * 4300})^2"],
+        ["mu", "--n", "1", "x1", "--", "-" + "9" * 4300],
+        ["mu", "--n", "1", "--json", "x1", "--", "-" + "9" * 4300],
+    ],
+    ids=["nf", "mu", "mu-json"],
+)
+def test_cli_render_names_an_exponent_too_long_to_print(capsys, argv):
+    # every coefficient is 1: the long number is an x1 exponent or a z power
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: an exponent has more than 4300 digits\n"
+
+
 def test_cli_comm_guard_reads_the_lower_product_when_it_is_lower(capsys):
     # x1^9999*d1^9999 has partial degree 19998 only; d1^9999*x1^9999 reaches 0 with 9999!
     start = time.perf_counter()
