@@ -55,7 +55,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-_MAX_BUDGET = 1000  # process wall time of verify all --n 3 --budget 1000: 3.9-4.0 s (1.6-1.8 s at 200)
+_MAX_BUDGET = 1000  # verify all --n 3: 3.3-4.2 s process wall time (1.0-1.5 s at 200); 2 CPUs, Python 3.11.7
 
 
 def _budget(text: str) -> int:
@@ -188,8 +188,8 @@ _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 # takes 0.23-0.26 s (0.14-0.17 s at n = 1), and mul of two of them is refused in 0.35-0.41 s
 # (it prints in 0.19-0.21 s at n = 1).  dims --n 1000 counts by formula: 0.09-0.13 s for A, B
 # and C, 0.26-0.44 s for B! and C!, which print 869 252 bytes.  center --n 4 0.33-0.39 s,
-# dual --n 12 1.4 s, nakayama --n 3 0.16-0.21 s with --json; these grow fast with n.  verify
-# takes the one suite cap, SUITE_MAX_N: verify all --n 3 1.9-2.5 s (2 CPUs, Python 3.11.7).
+# dual --n 12 1.4 s, nakayama --n 3 0.16-0.21 s with --json; these grow fast with n (2 CPUs,
+# Python 3.11.7).  verify takes the one suite cap, SUITE_MAX_N; its time is at _MAX_BUDGET.
 _EXPR_MAX_N = 1000
 
 _VERBS = {

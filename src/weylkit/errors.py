@@ -57,8 +57,10 @@ class RankDeficientInput(WeylkitError):
 
 
 class DefiningIdentityFailure(WeylkitError):
-    """A Nakayama map fails beta(sigma(y), x) = beta(x, y) on a basis pair, so its
-    golden data is refused (implementation bug)."""
+    """The Frobenius form or a Nakayama map fails its defining identity, so the
+    golden data is refused (implementation bug): beta(u, ubar) is not the top
+    coefficient of u*ubar for a basis word u, or beta(sigma(y), x) != beta(x, y)
+    on a basis pair."""
 
 
 class NotDegreeZero(WeylkitError):

@@ -92,15 +92,24 @@ class Generator:
             )
 
     def rank(self, n: int) -> int:
-        """Position in the canonical reading order z < x_1 < .. < x_n < d_1 < .. < d_n."""
+        """Position in the one order x_1 < .. < x_n < d_1 < .. < d_n < z of every engine's words."""
         if self.family == "z":
-            return 0
+            return 2 * n
         if self.family == "x":
-            return self.index
-        return n + self.index
+            return self.index - 1
+        return n + self.index - 1
 
     def __str__(self) -> str:
         return "z" if self.family == "z" else f"{self.family}{self.index}"
+
+
+def rank_generator(r: int, n: int) -> Generator:
+    """The generator of rank ``r``: the inverse of :meth:`Generator.rank`."""
+    if r < n:
+        return Generator.x(r + 1)
+    if r < 2 * n:
+        return Generator.d(r - n + 1)
+    return Generator.z()
 
 
 Word = tuple[Generator, ...]
@@ -122,10 +131,15 @@ class FreeExpression:
     def from_terms(n: int, terms: Sequence[tuple[Fraction, Sequence[Generator]]]) -> "FreeExpression":
         return FreeExpression(n, tuple((Fraction(c), tuple(w)) for c, w in terms))
 
-    def check(self, kind: AlgebraKind) -> None:
-        for _, word in self.terms:
+    def rank_terms(self, kind: AlgebraKind) -> dict[tuple[int, ...], Fraction]:
+        """The summed coefficient of each rank word, every generator checked against ``kind``."""
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for c, word in self.terms:
             for g in word:
                 g.check(self.n, kind)
+            ranks = tuple(g.rank(self.n) for g in word)
+            terms[ranks] = terms.get(ranks, Fraction(0)) + c
+        return terms
 
     def __str__(self) -> str:
         if not self.terms:

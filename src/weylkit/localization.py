@@ -171,8 +171,7 @@ def theta(e: LocalizedElement) -> AlgebraElement:
 
 def theta_inverse(a: AlgebraElement) -> LocalizedElement:
     """The canonical degree-zero fraction over a Weyl-algebra element."""
-    b, k = homogenize(a)
-    return make(b, k)
+    return mu(a)
 
 
 def mu(a: AlgebraElement, t: int = 0) -> LocalizedElement:

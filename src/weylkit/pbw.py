@@ -8,9 +8,10 @@ Three algebras share one engine, selected by :class:`AlgebraKind`:
 * ``C`` -- the commutative polynomial algebra on all 2n+1 generators.
 
 Every element has a unique normal form as a rational combination of
-ordered monomials z^i x^P d^Q.  ``normal_form`` reaches it by literal
-term rewriting on free words (the rule set below); ``multiply`` uses the
-closed-form exchange identity
+ordered monomials z^i x^P d^Q, which rewriting reads as the word
+x^P d^Q z^i (the same monomial, z being central).  ``normal_form``
+reaches it by literal term rewriting on free words (the rule set below);
+``multiply`` uses the closed-form exchange identity
 
     d_i^q x_i^r = sum_k k! C(q,k) C(r,k) c^k x_i^(r-k) d_i^(q-k)
 
@@ -23,7 +24,7 @@ Rewriting rules (applied to adjacent generator pairs):
     d_i x_i -> x_i d_i + z^2      (kind B;  + 1 for kind A)
     x_j x_i -> x_i x_j            (j > i)
     d_j d_i -> d_i d_j            (j > i)
-    g z     -> z g                (every generator g)
+    z g     -> g z                (every generator g)
 
 Kind C sorts all pairs commutatively.  Pending words are rewritten in
 decreasing order of the termination measure, so like words merge before
@@ -163,12 +164,9 @@ class AlgebraElement(SparseElement):
 
 # -- the rewriting kernel ----------------------------------------------------
 #
-# Words are tuples of generator ranks: z -> 0, x_i -> i, d_i -> n+i, so a
-# word is canonical iff its ranks are nondecreasing.
-
-def _word_ranks(word: Sequence[Generator], n: int) -> tuple[int, ...]:
-    return tuple(g.rank(n) for g in word)
-
+# Words are tuples of generator ranks (``Generator.rank``: x_i -> i-1,
+# d_i -> n+i-1, z -> 2n), so a word is canonical iff its ranks are
+# nondecreasing.
 
 def _redex_positions(ranks: tuple[int, ...]) -> list[int]:
     return [i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1]]
@@ -186,12 +184,12 @@ def _ranks_to_monomial(ranks: tuple[int, ...], n: int) -> PBWMonomial:
     xe = [0] * n
     de = [0] * n
     for r in ranks:
-        if r == 0:
-            ze += 1
-        elif r <= n:
-            xe[r - 1] += 1
+        if r < n:
+            xe[r] += 1
+        elif r < 2 * n:
+            de[r - n] += 1
         else:
-            de[r - n - 1] += 1
+            ze += 1
     return PBWMonomial(ze, tuple(xe), tuple(de))
 
 
@@ -203,10 +201,10 @@ def _measure(ranks: tuple[int, ...], n: int) -> tuple[int, int]:
         k = bisect_right(seen, r)  # seen ranks <= r; each larger one is an inversion
         inversions += len(seen) - k
         seen.insert(k, r)
-        if r > n:
-            ds += 1
-        elif r:
+        if r < n:
             dx += ds
+        elif r < 2 * n:
+            ds += 1
     return dx, inversions - dx
 
 
@@ -235,6 +233,7 @@ def _reduce_rank_words(
     out: dict[PBWMonomial, Fraction] = {}
     pending: dict[tuple[int, ...], Fraction] = {}
     heap: list[tuple[int, int, tuple[int, ...]]] = []  # (-dx, -other, word): a min-heap
+    z_squared = (2 * n, 2 * n) if kind is AlgebraKind.B else ()
 
     def add(ranks, coeff, dx, other):
         if ranks in pending:
@@ -262,11 +261,11 @@ def _reduce_rank_words(
             continue
         a, b = ranks[pos], ranks[pos + 1]
         swapped = ranks[:pos] + (b, a) + ranks[pos + 2 :]
-        if a > n >= b > 0:
+        if 2 * n > a >= n > b:
             add(swapped, coeff, dx - 1, other)
             if kind is not AlgebraKind.C and a - n == b:
                 # d_i x_i: correction term z^2 (kind B) or 1 (kind A)
-                corr = ranks[:pos] + ((0, 0) if kind is AlgebraKind.B else ()) + ranks[pos + 2 :]
+                corr = ranks[:pos] + z_squared + ranks[pos + 2 :]
                 add(corr, coeff, *_measure(corr, n))
         else:
             add(swapped, coeff, dx, other - 1)
@@ -284,13 +283,8 @@ def normal_form(
     >>> str(normal_form(parse("d1*x1", 1, AlgebraKind.B), AlgebraKind.B))
     'x1*d1 + z^2'
     """
-    expr.check(kind)
     n = expr.n
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for c, word in expr.terms:
-        ranks = _word_ranks(word, n)
-        terms[ranks] = terms.get(ranks, Fraction(0)) + c
-    return AlgebraElement(kind, n, _reduce_rank_words(terms, kind, n, rng))
+    return AlgebraElement(kind, n, _reduce_rank_words(expr.rank_terms(kind), kind, n, rng))
 
 
 def word_normal_form(
@@ -413,11 +407,9 @@ def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
         raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    first = 1 if kind is AlgebraKind.A else 0  # kind A has no z, rank 0
-    ranks = itertools.combinations_with_replacement(range(first, 2 * n + 1), d)
-    monomials = [_ranks_to_monomial(w, n) for w in ranks]
-    monomials.sort(key=lambda m: m.term_key(n))
-    return monomials
+    letters = 2 * n if kind is AlgebraKind.A else 2 * n + 1  # kind A has no z, rank 2n
+    ranks = itertools.combinations_with_replacement(range(letters), d)
+    return sorted((_ranks_to_monomial(w, n) for w in ranks), key=lambda m: m.term_key(n))
 
 
 def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElement]:
@@ -433,7 +425,7 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
     in basis order.  A (g, t) reached twice would void that argument, so
     it raises RuntimeError.
     """
-    gens = [_ranks_to_monomial((r,), n) for r in range(1, 2 * n + 1)]  # x_1..x_n, d_1..d_n
+    gens = [_ranks_to_monomial((r,), n) for r in range(2 * n)]  # x_1..x_n, d_1..d_n
     reached: set[tuple[PBWMonomial, PBWMonomial]] = set()
     central = []
     for m in basis_of_degree(kind, n, d):

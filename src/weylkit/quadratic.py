@@ -31,18 +31,21 @@ from fractions import Fraction
 from . import linalg
 from .errors import RankDeficientInput
 from .expressions import format_terms
-from .generators import AlgebraKind
+from .generators import AlgebraKind, Generator, rank_generator
 
 # one relation: sparse map over ordered generator-index pairs
 Relation = dict[tuple[int, int], Fraction]
 
 
 def generator_names(n: int) -> tuple[str, ...]:
-    return tuple(
-        [f"x{i}" for i in range(1, n + 1)]
-        + [f"d{i}" for i in range(1, n + 1)]
-        + ["z"]
-    )
+    """The generator names by rank: the rows and columns of the relation grid."""
+    return tuple(str(rank_generator(r, n)) for r in range(2 * n + 1))
+
+
+def _grid_ranks(n: int) -> tuple[list[int], list[int], int]:
+    """The grid rows of x_1..x_n, d_1..d_n and z: their ``Generator.rank``."""
+    pairs = range(1, n + 1)
+    return [Generator.x(i).rank(n) for i in pairs], [Generator.d(i).rank(n) for i in pairs], Generator.z().rank(n)
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ class QuadraticPresentation:
 class DualRelationBasis:
     """A basis of the orthogonal complement of a relation space."""
 
-    ngens: int
     basis: tuple[Relation, ...]
 
 
@@ -86,9 +88,7 @@ def relations_of(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     if kind not in (AlgebraKind.B, AlgebraKind.C):
         raise ValueError(f"quadratic presentations exist for kinds B and C, not {kind.value}")
     gens = generator_names(n)
-    x = list(range(n))
-    d = list(range(n, 2 * n))
-    z = 2 * n
+    x, d, z = _grid_ranks(n)
     rels: list[Relation] = []
     if kind is AlgebraKind.C:
         for u in range(2 * n + 1):
@@ -147,14 +147,7 @@ def orthogonal_complement(p: QuadraticPresentation) -> DualRelationBasis:
     kernel = linalg.nullspace(rows, g * g)
     if len(kernel) != g * g - len(rows):  # rank-nullity
         raise RankDeficientInput("relation list is linearly dependent")
-    basis = []
-    for vec in kernel:
-        rel: Relation = {}
-        for idx, c in enumerate(vec):
-            if c:
-                rel[(idx // g, idx % g)] = c
-        basis.append(rel)
-    return DualRelationBasis(g, tuple(basis))
+    return DualRelationBasis(tuple({divmod(idx, g): c for idx, c in enumerate(vec) if c} for vec in kernel))
 
 
 def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
@@ -169,9 +162,7 @@ def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     if kind not in (AlgebraKind.B, AlgebraKind.C):
         raise ValueError(f"dual presentations exist for kinds B and C, not {kind.value}")
     gens = generator_names(n)
-    x = list(range(n))
-    d = list(range(n, 2 * n))
-    z = 2 * n
+    x, d, z = _grid_ranks(n)
     rels: list[Relation] = []
     if kind is AlgebraKind.C:
         for u in range(2 * n + 1):

@@ -15,13 +15,15 @@ Rewriting a word sorts it by adjacent transpositions, each costing a sign,
 kills repeated x/d generators, and substitutes doubled z's.  The z-count
 of a word drops by two at every z^2 step and the inversion count drops at
 every swap, so any redex order terminates; confluence is checked by test.
-``reduce_expression`` is that literal route.  ``multiply`` reads the
-product of two basis words off their bitmasks instead: zero if they share
-an x or d letter; else the merged word, with one sign per pair of letters
-the merge swaps and per x/d letter of the right word that a z of the left
-word passes.  Two z's then give 0 in C!, and in B! -(x_i d_i) for each i
-that neither word uses, x_i and d_i each passing the letters ranked above
-them.  The tests check this against rewriting on every word pair, n <= 3.
+``reduce_expression`` is that literal route.  A word stores its x/d
+letters as one bitmask, the letter of rank r (``Generator.rank``) at bit
+r, and z as a flag.  ``multiply`` reads the product of two basis words
+off them instead: zero if they share an x or d letter; else the merged
+word, with one sign per pair of letters the merge swaps and per x/d
+letter of the right word that a z of the left word passes.  Two z's then
+give 0 in C!, and in B! -(x_i d_i) for each i that neither word uses, x_i
+and d_i each passing the letters ranked above them.  The tests check this
+against rewriting on every word pair, n <= 3.
 
 The basis lists words by degree, then by ascending ranks, as
 ``itertools.combinations`` yields them.  The z-free words form a subalgebra
@@ -46,46 +48,31 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import KindMismatch, SizeMismatch
-from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
+from .generators import AlgebraKind, FreeExpression, Generator, SparseElement, rank_generator
 
 Rational = Fraction | int
-
-# ranks inside shriek words: x_i -> i-1, d_i -> n+i-1, z -> 2n (rightmost)
-
-
-def _shriek_rank(g: Generator, n: int) -> int:
-    return 2 * n if g.family == "z" else g.rank(n) - 1
-
-
-def rank_generator(r: int, n: int) -> Generator:
-    if r < n:
-        return Generator.x(r + 1)
-    if r < 2 * n:
-        return Generator.d(r - n + 1)
-    return Generator.z()
 
 
 @dataclass(frozen=True)
 class ShriekWord:
-    """A square-free basis word, stored as bitmasks plus a z flag."""
+    """A square-free basis word: its x/d letters, the one of rank r at bit r, and a z flag."""
 
-    xmask: int
-    dmask: int
+    letters: int
     zflag: int
 
     def __hash__(self) -> int:
-        x, d = self.xmask, self.dmask
-        if (x | d) >> 60:
-            # Python hashes an int modulo 2^61 - 1, so x_i and x_{i+61} would collide
-            x, d = (m.to_bytes((m.bit_length() + 7) // 8, "little") for m in (x, d))
-        return hash((x, d, self.zflag))
+        letters = self.letters
+        if letters >> 60:
+            # Python hashes an int modulo 2^61 - 1, so the letters of ranks r and r+61 would collide
+            letters = letters.to_bytes((letters.bit_length() + 7) // 8, "little")
+        return hash((letters, self.zflag))
 
     @property
     def degree(self) -> int:
-        return self.xmask.bit_count() + self.dmask.bit_count() + self.zflag
+        return self.letters.bit_count() + self.zflag
 
     def ranks(self, n: int) -> tuple[int, ...]:
-        letters = self.xmask | self.dmask << n | self.zflag << 2 * n  # rank r at bit r
+        letters = self.letters | self.zflag << 2 * n
         return tuple(r for r in range(2 * n + 1) if letters >> r & 1)
 
     def term_key(self, n: int):
@@ -101,16 +88,14 @@ class ShriekWord:
     def json_fields(self, n: int) -> dict:
         return {
             "z": self.zflag,
-            "x": [1 if self.xmask >> i & 1 else 0 for i in range(n)],
-            "d": [1 if self.dmask >> i & 1 else 0 for i in range(n)],
+            "x": [self.letters >> i & 1 for i in range(n)],
+            "d": [self.letters >> i & 1 for i in range(n, 2 * n)],
         }
 
 
 def _ranks_to_word(ranks: Iterable[int], n: int) -> ShriekWord:
-    letters, full = 0, (1 << n) - 1
-    for r in ranks:
-        letters |= 1 << r
-    return ShriekWord(letters & full, letters >> n & full, letters >> 2 * n)
+    letters = sum(1 << r for r in ranks)  # the ranks are distinct
+    return ShriekWord(letters & (1 << 2 * n) - 1, letters >> 2 * n)
 
 
 class ShriekElement(SparseElement):
@@ -130,7 +115,7 @@ class ShriekElement(SparseElement):
 
     def _check_keys(self, keys) -> None:
         for w in keys:
-            if w.xmask >> self.n or w.dmask >> self.n:
+            if w.letters >> 2 * self.n:
                 raise SizeMismatch(f"word {w} does not fit n={self.n}")
 
     @staticmethod
@@ -139,7 +124,7 @@ class ShriekElement(SparseElement):
 
     @staticmethod
     def one(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
-        return ShriekElement(n, {ShriekWord(0, 0, 0): Fraction(1)}, kind)
+        return ShriekElement(n, {ShriekWord(0, 0): Fraction(1)}, kind)
 
     @staticmethod
     def word(n: int, w: ShriekWord, coeff: Rational = 1,
@@ -149,7 +134,7 @@ class ShriekElement(SparseElement):
     @staticmethod
     def generator(n: int, g: Generator, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
         g.check(n, kind)
-        return ShriekElement.word(n, _ranks_to_word([_shriek_rank(g, n)], n), 1, kind)
+        return ShriekElement.word(n, _ranks_to_word([g.rank(n)], n), 1, kind)
 
     def degrees(self) -> set[int]:
         return {w.degree for w in self.coeffs}
@@ -240,39 +225,32 @@ def reduce_expression(
     rng: random.Random | None = None,
 ) -> ShriekElement:
     """Reduce a parsed free expression into the shriek algebra."""
-    expr.check(kind)
     n = expr.n
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for c, word in expr.terms:
-        ranks = tuple(_shriek_rank(g, n) for g in word)
-        terms[ranks] = terms.get(ranks, Fraction(0)) + c
-    return ShriekElement(n, _reduce_rank_words(terms, n, kind, rng), kind)
+    return ShriekElement(n, _reduce_rank_words(expr.rank_terms(kind), n, kind, rng), kind)
 
 
 def _word_product(u: ShriekWord, v: ShriekWord, kind: AlgebraKind, n: int):
     """The (word, sign) terms of u*v, in the closed form of the module docstring."""
-    if u.xmask & v.xmask or u.dmask & v.dmask:
+    left, right = u.letters, v.letters
+    if left & right:
         return ()
-    # a word's x/d letters as one mask, the letter of rank r at bit r
-    left, right = u.xmask | u.dmask << n, v.xmask | v.dmask << n
     flips = right.bit_count() if u.zflag else 0
     rest = right
     while rest:
         low = rest & -rest
         flips += (left & -low).bit_count()  # the letters of u ranked above this one
         rest ^= low
-    xmask, dmask = u.xmask | v.xmask, u.dmask | v.dmask
+    merged = left | right
     sign = -1 if flips & 1 else 1
     if not (u.zflag and v.zflag):
-        return ((ShriekWord(xmask, dmask, u.zflag | v.zflag), sign),)
+        return ((ShriekWord(merged, u.zflag | v.zflag), sign),)
     if kind is AlgebraKind.C_SHRIEK:
         return ()
-    merged = left | right
     return tuple(
-        (ShriekWord(xmask | 1 << i, dmask | 1 << i, 0),
+        (ShriekWord(merged | 1 << i | 1 << n + i, 0),
          -sign * (-1) ** ((merged >> i).bit_count() + (merged >> n + i).bit_count()))
         for i in reversed(range(n))  # in the order rewriting lists them
-        if not (xmask | dmask) >> i & 1
+        if not (merged >> i | merged >> n + i) & 1
     )
 
 
@@ -293,8 +271,9 @@ def product_size(a: ShriekElement, b: ShriekElement, cap: int) -> tuple[int, int
     terms, n, z_squares = 0, a.n, a.kind is AlgebraKind.B_SHRIEK  # z^2 = 0 in C!
     for u in a.coeffs:
         for v in b.coeffs:
-            if z_squares and u.zflag and v.zflag and not (u.xmask & v.xmask or u.dmask & v.dmask):
-                terms += max(1, n - (u.xmask | v.xmask | u.dmask | v.dmask).bit_count())
+            if z_squares and u.zflag and v.zflag and not u.letters & v.letters:
+                merged = u.letters | v.letters  # x_i or d_i is in u or v iff bit i of merged | merged >> n
+                terms += max(1, n - ((merged | merged >> n) & (1 << n) - 1).bit_count())
             else:
                 terms += 1
             if terms > cap:
@@ -321,7 +300,7 @@ def decompose(e: ShriekElement) -> tuple[ShriekElement, ShriekElement]:
 # -- Frobenius structure ---------------------------------------------------------
 
 def top_word(n: int) -> ShriekWord:
-    return ShriekWord((1 << n) - 1, (1 << n) - 1, 1)
+    return ShriekWord((1 << 2 * n) - 1, 1)
 
 
 def frobenius_functional(e: ShriekElement) -> Fraction:
@@ -331,8 +310,7 @@ def frobenius_functional(e: ShriekElement) -> Fraction:
 
 def _partner(u: ShriekWord, n: int) -> tuple[ShriekWord, int]:
     """(the complement of u, beta(u, complement)): the one word u pairs with, and how."""
-    full = (1 << n) - 1
-    partner = ShriekWord(u.xmask ^ full, u.dmask ^ full, u.zflag ^ 1)
+    partner = ShriekWord(u.letters ^ (1 << 2 * n) - 1, u.zflag ^ 1)
     ((_, sign),) = _word_product(u, partner, AlgebraKind.B_SHRIEK, n)  # one z: one term
     return partner, sign
 
@@ -441,4 +419,19 @@ def defining_identity_failure(nm: NakayamaMap) -> tuple[ShriekElement, ShriekEle
         if wrong:
             x = min(wrong, key=position.__getitem__)
             return ShriekElement.word(n, y), ShriekElement.word(n, x)
+    return None
+
+
+def form_failure(n: int) -> ShriekElement | None:
+    """The first basis word u with beta(u, ubar) != the top coefficient of u*ubar, or None.
+
+    ubar, the word of the letters u lacks, is the one word u pairs with, so
+    this binds ``_partner`` to the product: one element product per word.
+    """
+    top = top_word(n)
+    for w in shriek_basis(n):
+        u = ShriekElement.word(n, w)
+        ubar = ShriekElement.word(n, ShriekWord(top.letters ^ w.letters, w.zflag ^ 1))
+        if frobenius_functional(multiply(u, ubar)) != bilinear_form(u, ubar):
+            return u
     return None

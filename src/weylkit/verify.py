@@ -26,7 +26,7 @@ from typing import Callable
 from . import linalg
 from .errors import DefiningIdentityFailure, UnknownSuite, UnsupportedN
 from .expressions import parse, render
-from .generators import AlgebraKind, Generator
+from .generators import AlgebraKind, Generator, rank_generator
 from .pbw import (
     AlgebraElement,
     PBWMonomial,
@@ -60,6 +60,7 @@ from .shriek import (
     decompose,
     defining_identity_failure,
     degree_dimensions,
+    form_failure,
     gram_matrix,
     multiply as smul,
     nakayama,
@@ -201,9 +202,7 @@ def random_homogeneous(rng: random.Random, kind: AlgebraKind, n: int, degree: in
 def random_word(
     rng: random.Random, n: int, kind: AlgebraKind, max_len: int = 6
 ) -> tuple[Generator, ...]:
-    pool = [Generator.x(i) for i in range(1, n + 1)] + [Generator.d(i) for i in range(1, n + 1)]
-    if kind.has_z:
-        pool.append(Generator.z())
+    pool = [rank_generator(r, n) for r in range(2 * n + 1 if kind.has_z else 2 * n)]  # x, d, then z
     return tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len)))
 
 
@@ -548,6 +547,12 @@ def _suite_frobenius(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
         return None
 
     rec.check("top-pairing-unit", "beta(1, top word) = 1", unit_pairing)
+
+    def form_is_top_coefficient():
+        u = form_failure(n)
+        return None if u is None else f"u = {u}"
+
+    rec.check("form-is-top-coefficient", "beta(u, v) is the top coefficient of uv", form_is_top_coefficient)
 
 
 def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
@@ -935,13 +940,16 @@ def _golden_data(nm: NakayamaMap) -> dict:
 def compute_golden(n: int) -> dict:
     """Golden data for one n: dims, Gram determinants, Nakayama images, scalar.
 
-    The Nakayama images are read off the complement pairing (the tests
-    keep the exact Gram solve as their oracle) and are cross-checked
-    against the defining identity on all basis pairs, row by row through
-    the same pairing (``shriek.defining_identity_failure``), before being
-    reported, so a blessed file is itself verified oracle output.  Raises
-    :class:`DefiningIdentityFailure` naming the first failing pair otherwise.
+    The complement pairing is checked against the product
+    (``shriek.form_failure``); the Nakayama images, read off it (the tests
+    keep the Gram solve as their oracle), against the defining identity on
+    all basis pairs (``shriek.defining_identity_failure``).  So a blessed
+    file is verified output; otherwise :class:`DefiningIdentityFailure`
+    names the first failing word or pair.
     """
+    u = form_failure(n)
+    if u is not None:
+        raise DefiningIdentityFailure(f"beta is not the top coefficient of the product at u = {u}; refusing to bless")
     nm = nakayama(n)
     failure = defining_identity_failure(nm)
     if failure is not None:

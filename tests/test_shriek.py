@@ -55,11 +55,11 @@ def _oracle_insert(word, r, n):
 
 def oracle_reduce(gens, n):
     """Reduce a word one generator at a time; independent of the worklist engine."""
-    from weylkit.shriek import _shriek_rank, _ranks_to_word
+    from weylkit.shriek import _ranks_to_word
 
     states = {(): Fraction(1)}
     for g in gens:
-        r = _shriek_rank(g, n)
+        r = g.rank(n)
         new = {}
         for word, c in states.items():
             for c2, w2 in _oracle_insert(word, r, n):
@@ -96,8 +96,8 @@ def test_dims_refuse_the_pbw_kinds(kind):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_basis_equals_the_sort_of_all_words(n):
-    # the oracle: every mask triple, sorted by (degree, ranks)
-    words = [ShriekWord(xm, dm, zf) for xm in range(1 << n) for dm in range(1 << n) for zf in (0, 1)]
+    # the oracle: every letter mask and z flag, sorted by (degree, ranks)
+    words = [ShriekWord(letters, zf) for letters in range(1 << 2 * n) for zf in (0, 1)]
     words.sort(key=lambda w: (w.degree, w.ranks(n)))
     assert shriek_basis(n) == words
     for j in range(2 * n + 2):
@@ -222,9 +222,9 @@ def test_multiply_does_not_rewrite(monkeypatch):
 
 
 def test_word_hash_mixes_every_mask_bit():
-    # Python hashes an int modulo 2^61 - 1; x_i and x_{i+61} must still hash apart
-    assert len({hash(ShriekWord(1 << i, 0, 0)) for i in range(1000)}) == 1000
-    assert len({hash(ShriekWord(0, 1 << i, 1)) for i in range(1000)}) == 1000
+    # Python hashes an int modulo 2^61 - 1; the letters of ranks r and r+61 must still hash apart
+    assert len({hash(ShriekWord(1 << i, 0)) for i in range(1000)}) == 1000
+    assert len({hash(ShriekWord(1 << i, 1)) for i in range(1000)}) == 1000
 
 
 # -- decomposition ---------------------------------------------------------------------
@@ -519,6 +519,22 @@ def test_rank_generator_roundtrip():
     for n in (1, 2, 3):
         for r in range(2 * n + 1):
             g = rank_generator(r, n)
-            from weylkit.shriek import _shriek_rank
+            assert g.rank(n) == r
 
-            assert _shriek_rank(g, n) == r
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_generator_order(n):
+    # x_1..x_n, d_1..d_n, z: the PBW words, the shriek words and the relation grid all read it
+    from weylkit import generators
+    from weylkit.quadratic import generator_names
+
+    assert rank_generator is generators.rank_generator
+    order = [(Generator.x(i), i - 1) for i in range(1, n + 1)]
+    order += [(Generator.d(i), n + i - 1) for i in range(1, n + 1)]
+    order.append((z, 2 * n))
+    for g, r in order:
+        assert g.rank(n) == r
+        assert rank_generator(r, n) == g
+        (word,) = ShriekElement.generator(n, g).coeffs
+        assert word.ranks(n) == (r,)
+        assert generator_names(n)[r] == str(g)

@@ -140,7 +140,7 @@ EXPECTED_CLAIMS = {
         "reduction-confluence",
         "shriek-associativity",
     },
-    "frobenius": {"gram-invertible", "form-associativity", "top-pairing-unit"},
+    "frobenius": {"gram-invertible", "form-associativity", "top-pairing-unit", "form-is-top-coefficient"},
     "nakayama": {
         "defining-identity",
         "multiplicativity",
@@ -267,6 +267,37 @@ def test_refused_bless_keeps_the_golden_file(tmp_path, monkeypatch):
     with pytest.raises(DefiningIdentityFailure, match=r"defining identity fails at \(x1, d1\*z\)"):
         bless_golden(1)
     assert (tmp_path / "shriek_n1.json").read_bytes() == before
+
+
+def _unsigned_partner(monkeypatch):
+    """Make ``shriek._partner`` pair every word with its complement by sign +1."""
+    from weylkit import shriek
+
+    real = shriek._partner
+    monkeypatch.setattr(shriek, "_partner", lambda u, n: (real(u, n)[0], 1))
+
+
+@pytest.mark.parametrize("n, negative", [(1, 2), (2, 12), (3, 56)])
+def test_form_check_catches_an_unsigned_pairing(monkeypatch, n, negative):
+    from weylkit import shriek
+
+    words = shriek.shriek_basis(n)
+    assert sum(shriek._partner(u, n)[1] == -1 for u in words) == negative
+    assert shriek.form_failure(n) is None
+    _unsigned_partner(monkeypatch)
+    assert shriek.form_failure(n) is not None
+    report = run_suite("frobenius", n, seed=1, budget=10)
+    form_checks = {c.claim_id: c.passed for c in report.checks if c.claim_id.startswith("form-is-top")}
+    assert form_checks == {f"form-is-top-coefficient[n={k}]": False for k in range(1, n + 1)}
+
+
+def test_refused_bless_keeps_the_golden_file_under_an_unsigned_pairing(tmp_path, monkeypatch):
+    monkeypatch.setenv("WEYLKIT_GOLDEN_DIR", str(tmp_path))
+    before = bless_golden(2).read_bytes()
+    _unsigned_partner(monkeypatch)
+    with pytest.raises(DefiningIdentityFailure, match="beta is not the top coefficient"):
+        bless_golden(2)
+    assert (tmp_path / "shriek_n2.json").read_bytes() == before
 
 
 @pytest.mark.parametrize("argv", [["verify", "nakayama", "--n", "1", "--bless"], ["nakayama", "--n", "1", "--json"]])
