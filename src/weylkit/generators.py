@@ -175,12 +175,18 @@ class SparseElement:
     supplies ``_check_keys``, ``_times`` (its module's ``multiply``) and
     ``_one`` (the unit); a key supplies ``degree`` and, given the pair
     count, ``term_key``, ``word_str`` and ``json_fields``.  Two elements
-    are equal iff kind, n and the coefficient maps agree.
+    are equal iff kind, n and the coefficient maps agree.  The constructor
+    checks every key with ``_check_keys``, as keys may come from outside;
+    ``_like`` skips the check, its keys being built from checked ones.
     """
 
     __slots__ = ("kind", "n", "coeffs")
 
     def __init__(self, kind: AlgebraKind, n: int, coeffs: dict | None):
+        self._fill(kind, n, coeffs)
+        self._check_keys(self.coeffs)
+
+    def _fill(self, kind: AlgebraKind, n: int, coeffs: dict | None) -> None:
         clean = {}
         for key, c in (coeffs or {}).items():
             # Fraction(c) of an exact Fraction is a slow copy; fractions are immutable
@@ -190,7 +196,6 @@ class SparseElement:
                 clean[key] = c
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
-        self._check_keys(clean)
         object.__setattr__(self, "coeffs", clean)
 
     def _check_compatible(self, other) -> None:
@@ -203,9 +208,9 @@ class SparseElement:
             raise KindMismatch(f"cannot mix {self.kind.value} with {other.kind.value}")
 
     def _like(self, coeffs: dict):
-        """A new element of the same type, kind and n."""
+        """A new element of the same type, kind and n, its keys unchecked."""
         out = object.__new__(type(self))
-        SparseElement.__init__(out, self.kind, self.n, coeffs)
+        out._fill(self.kind, self.n, coeffs)
         return out
 
     def __setattr__(self, name, value):

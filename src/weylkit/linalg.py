@@ -1,9 +1,9 @@
 """Small exact linear algebra kit over the rationals.
 
 Everything here is served by one Gauss-Jordan elimination loop on lists of
-:class:`fractions.Fraction`, ``_eliminate``: ``solve`` runs it once on the
-augmented system for all its right-hand sides, and ``det`` reads the
-signed product of its pivots.  Matrices are lists of rows; rows are lists.
+:class:`fractions.Fraction`, ``_eliminate``: ``rref``, ``rank`` and
+``nullspace`` read its reduced rows, and ``det`` reads the signed product
+of its pivots.  Matrices are lists of rows; rows are lists.
 Sizes stay desk-scale (a few hundred columns at most), so no attempt is
 made at fraction-free pivoting or sparsity beyond skipping zero entries.
 """
@@ -82,21 +82,6 @@ def nullspace(rows: Matrix, ncols: int) -> Matrix:
             v[pc] = -prow[fc]
         basis.append(v)
     return basis
-
-
-def solve(matrix: Matrix, rhs: Matrix) -> Matrix:
-    """The unique X with ``matrix`` X = ``rhs``, one column per right-hand side.
-
-    ``matrix`` is square and ``rhs`` has as many rows; raises ValueError
-    when the matrix is singular.
-    """
-    m = len(matrix)
-    if any(len(row) != m for row in matrix) or len(rhs) != m:
-        raise ValueError("matrix is not square or rhs has the wrong number of rows")
-    reduced, pivots, _ = _eliminate([list(row) + list(b) for row, b in zip(matrix, rhs)], m)
-    if len(pivots) != m:
-        raise ValueError("singular matrix")
-    return [row[m:] for row in reduced]
 
 
 def det(matrix: Matrix) -> Fraction:

@@ -58,12 +58,6 @@ class LocalizedElement:
     # loc_equals is the fraction equality (they agree on make() outputs)
     __hash__ = None
 
-    def __add__(self, other: "LocalizedElement") -> "LocalizedElement":
-        return loc_add(self, other)
-
-    def __mul__(self, other: "LocalizedElement") -> "LocalizedElement":
-        return loc_multiply(self, other)
-
     def __str__(self) -> str:
         from .expressions import render
 
@@ -144,7 +138,7 @@ def homogenize(a: AlgebraElement) -> tuple[AlgebraElement, int]:
     if a.kind is not AlgebraKind.A:
         raise KindMismatch(f"homogenize expects kind A, got {a.kind.value}")
     if a.is_zero():
-        return AlgebraElement.zero(AlgebraKind.B, a.n), 0
+        return AlgebraElement(AlgebraKind.B, a.n), 0
     k = partial_degree(a)
     out = {
         PBWMonomial(k - m.partial, m.xexps, m.dexps): c
@@ -163,7 +157,7 @@ def theta(e: LocalizedElement) -> AlgebraElement:
     ``make(*homogenize(a))``.
     """
     if e.is_zero():
-        return AlgebraElement.zero(AlgebraKind.A, e.n)
+        return AlgebraElement(AlgebraKind.A, e.n)
     if not e.numerator.is_homogeneous() or graded_degree(e.numerator) != e.zpow:
         raise NotDegreeZero("the fraction is not homogeneous of degree 0")
     return dehomogenize(e.numerator)

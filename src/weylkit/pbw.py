@@ -131,14 +131,12 @@ class AlgebraElement(SparseElement):
         for m in keys:
             if len(m.xexps) != n or len(m.dexps) != n:
                 raise SizeMismatch(f"monomial {m} has wrong arity for n={n}")
+            if not all(type(e) is int and e >= 0 for e in (m.zexp, *m.xexps, *m.dexps)):
+                raise ValueError(f"{m!r} has an exponent that is not a nonnegative int")
             if weyl and m.zexp != 0:
                 raise IllegalGenerator("z exponent in a Weyl-algebra element")
 
     # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def zero(kind: AlgebraKind, n: int) -> "AlgebraElement":
-        return AlgebraElement(kind, n, {})
 
     @staticmethod
     def one(kind: AlgebraKind, n: int) -> "AlgebraElement":
@@ -167,10 +165,6 @@ class AlgebraElement(SparseElement):
 # Words are tuples of generator ranks (``Generator.rank``: x_i -> i-1,
 # d_i -> n+i-1, z -> 2n), so a word is canonical iff its ranks are
 # nondecreasing.
-
-def _redex_positions(ranks: tuple[int, ...]) -> list[int]:
-    return [i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1]]
-
 
 def _leftmost_redex(ranks: tuple[int, ...]) -> int | None:
     for i in range(len(ranks) - 1):
@@ -253,7 +247,7 @@ def _reduce_rank_words(
         if rng is None:
             pos = _leftmost_redex(ranks)
         else:
-            redexes = _redex_positions(ranks)
+            redexes = [i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1]]
             pos = rng.choice(redexes) if redexes else None
         if pos is None:
             m = _ranks_to_monomial(ranks, n)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import RankDeficientInput
-from .expressions import format_terms
+from .expressions import evaluate, format_terms
 from .generators import AlgebraKind, Generator, rank_generator
 
 # one relation: sparse map over ordered generator-index pairs
@@ -52,14 +52,8 @@ def _grid_ranks(n: int) -> tuple[list[int], list[int], int]:
 class QuadraticPresentation:
     """Generators x_1..x_n, d_1..d_n, z plus homogeneous quadratic relations."""
 
-    n: int
-    kind: AlgebraKind
     generators: tuple[str, ...]
     relations: tuple[Relation, ...]
-
-    @property
-    def ngens(self) -> int:
-        return len(self.generators)
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ def relations_of(kind: AlgebraKind, n: int) -> QuadraticPresentation:
             rels.append(_comm(x[i], z))
         for i in range(n):
             rels.append(_comm(d[i], z))
-    return QuadraticPresentation(n, kind, gens, tuple(rels))
+    return QuadraticPresentation(gens, tuple(rels))
 
 
 def pairing(r: Relation, s: Relation) -> Fraction:
@@ -141,7 +135,7 @@ def orthogonal_complement(p: QuadraticPresentation) -> DualRelationBasis:
     Raises :class:`RankDeficientInput` when the relation list is
     linearly dependent.
     """
-    g = p.ngens
+    g = len(p.generators)
     # row . flat(s) = pairing(rel, s) for the row of the transposed relation
     rows = relation_rows([{(v, u): c for (u, v), c in rel.items()} for rel in p.relations], g)
     kernel = linalg.nullspace(rows, g * g)
@@ -199,7 +193,7 @@ def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
         raise RuntimeError(
             "structured dual presentation does not span the orthogonal complement"
         )
-    return QuadraticPresentation(n, kind, gens, tuple(rels))
+    return QuadraticPresentation(gens, tuple(rels))
 
 
 def relation_text(rel: Relation, gens: tuple[str, ...]) -> str:
@@ -208,3 +202,9 @@ def relation_text(rel: Relation, gens: tuple[str, ...]) -> str:
         (c, f"{gens[u]}^2" if u == v else f"{gens[u]}*{gens[v]}")
         for (u, v), c in sorted(rel.items())
     ])
+
+
+def relation_failure(p: QuadraticPresentation, kind: AlgebraKind) -> Relation | None:
+    """The first relation of ``p`` that is not zero in ``kind`` (u (x) v read as the product u v), or None."""
+    n = len(p.generators) // 2
+    return next((r for r in p.relations if evaluate(relation_text(r, p.generators), n, kind)), None)

@@ -115,12 +115,10 @@ class ShriekElement(SparseElement):
 
     def _check_keys(self, keys) -> None:
         for w in keys:
+            if not (type(w.letters) is int and w.letters >= 0 and type(w.zflag) is int and w.zflag in (0, 1)):
+                raise ValueError(f"{w!r} needs a nonnegative int letter mask and a z flag of 0 or 1")
             if w.letters >> 2 * self.n:
                 raise SizeMismatch(f"word {w} does not fit n={self.n}")
-
-    @staticmethod
-    def zero(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
-        return ShriekElement(n, {}, kind)
 
     @staticmethod
     def one(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
@@ -385,7 +383,7 @@ def apply_automorphism(m: NakayamaMap, e: ShriekElement) -> ShriekElement:
     """Multiplicative-linear extension of the generator images."""
     if m.n != e.n:
         raise SizeMismatch(f"map is for n={m.n}, element has n={e.n}")
-    out = ShriekElement.zero(e.n, e.kind)
+    out = ShriekElement(e.n, {}, e.kind)
     for w, c in e.coeffs.items():
         img = ShriekElement.one(e.n, e.kind)
         for r in w.ranks(e.n):

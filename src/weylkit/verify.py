@@ -48,7 +48,9 @@ from .quadratic import (
     dual_presentation,
     orthogonal_complement,
     pairing,
+    relation_failure,
     relation_rows,
+    relation_text,
     relations_of,
 )
 from .shriek import (
@@ -190,8 +192,7 @@ def random_element(
             return e
 
 
-def random_homogeneous(rng: random.Random, kind: AlgebraKind, n: int, degree: int) -> AlgebraElement:
-    basis = basis_of_degree(kind, n, degree)
+def random_homogeneous(rng: random.Random, kind: AlgebraKind, n: int, basis: list[PBWMonomial]) -> AlgebraElement:
     coeffs: dict[PBWMonomial, Fraction] = {}
     for _ in range(rng.randint(1, _MAX_TERMS)):
         m = rng.choice(basis)
@@ -206,8 +207,7 @@ def random_word(
     return tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len)))
 
 
-def random_shriek(rng: random.Random, n: int) -> ShriekElement:
-    words = shriek_basis(n)
+def random_shriek(rng: random.Random, n: int, words: list[ShriekWord]) -> ShriekElement:
     coeffs: dict = {}
     for _ in range(rng.randint(0, _MAX_TERMS)):
         w = rng.choice(words)
@@ -230,6 +230,7 @@ def _word_draws(
 def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
     kind = AlgebraKind.B
     one = AlgebraElement.one(kind, n)
+    basis = functools.cache(functools.partial(basis_of_degree, kind, n))  # by degree, built once per n
 
     def nonzero_pair():
         return random_element(rng, kind, n, nonzero=True), random_element(rng, kind, n, nonzero=True)
@@ -271,8 +272,8 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
 
     def graded_multiplicativity():
         da, db = rng.randint(0, 3), rng.randint(0, 3)
-        a = random_homogeneous(rng, kind, n, da)
-        b = random_homogeneous(rng, kind, n, db)
+        a = random_homogeneous(rng, kind, n, basis(da))
+        b = random_homogeneous(rng, kind, n, basis(db))
         if a.is_zero() or b.is_zero():
             return None
         ab = multiply(a, b)
@@ -388,12 +389,12 @@ def _suite_center(rec: _Recorder, n: int, rng: random.Random, budget: int) -> No
 
 
 def _suite_dual(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
-    B = AlgebraKind.B
+    B, C = AlgebraKind.B, AlgebraKind.C
 
     # each object is built once per n, as in _suite_center
     @functools.cache
-    def primal() -> QuadraticPresentation:
-        return relations_of(B, n)
+    def primal(kind: AlgebraKind = B) -> QuadraticPresentation:
+        return relations_of(kind, n)
 
     @functools.cache
     def complement() -> DualRelationBasis:
@@ -441,7 +442,7 @@ def _suite_dual(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None
 
     def structured_span():
         dual(B)  # certifies internally
-        dual(AlgebraKind.C)
+        dual(C)
         return None
 
     rec.check(
@@ -452,13 +453,32 @@ def _suite_dual(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None
 
     def involution():
         p = primal()
-        comp_pres = QuadraticPresentation(n, B, p.generators, complement().basis)
-        back = orthogonal_complement(comp_pres)
+        back = orthogonal_complement(QuadraticPresentation(p.generators, complement().basis))
         g = len(p.generators)
         ok = linalg.span_equal(relation_rows(back.basis, g), relation_rows(p.relations, g))
         return None if ok else "double complement differs from the relation span"
 
     rec.check("involution", "the orthogonal complement is an involution", involution)
+
+    def presented():  # each engine with the presentation it should satisfy
+        return (B, primal(B)), (C, primal(C)), (AlgebraKind.B_SHRIEK, dual(B)), (AlgebraKind.C_SHRIEK, dual(C))
+
+    def engines_satisfy_relations():
+        for kind, p in presented():
+            if (rel := relation_failure(p, kind)) is not None:
+                return f"{relation_text(rel, p.generators)} is not zero in {kind.value}"
+        return None
+
+    rec.check("engines-satisfy-relations", "B and C satisfy R; B! and C! satisfy R-perp", engines_satisfy_relations)
+
+    def degree_two_dimension():
+        for kind, p in presented():
+            got = len(shriek_basis_of_degree(n, 2) if kind.is_shriek else basis_of_degree(kind, n, 2))
+            if got != (2 * n + 1) ** 2 - len(p.relations):
+                return f"{kind.value}: {got} != {(2 * n + 1) ** 2} - {len(p.relations)}"
+        return None
+
+    rec.check("degree-two-dimension", "dim of degree 2 is (2n+1)^2 minus the relation count", degree_two_dimension)
 
 
 def _suite_shriek_dims(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
@@ -637,7 +657,7 @@ def _suite_decomposition(rec: _Recorder, n: int, rng: random.Random, budget: int
             if c + zp != e:
                 return f"word {e}"
         for _ in range(budget):
-            e = random_shriek(rng, n)
+            e = random_shriek(rng, n, words)
             c, zp = decompose(e)
             if c + zp != e:
                 return f"element {e}"
@@ -646,9 +666,9 @@ def _suite_decomposition(rec: _Recorder, n: int, rng: random.Random, budget: int
     rec.check("parts-sum", "B! = (z-free part) + (z part)", parts_sum)
 
     def idempotent():
-        e = random_shriek(rng, n)
+        e = random_shriek(rng, n, words)
         c, zp = decompose(e)
-        zero = ShriekElement.zero(n)
+        zero = ShriekElement(n)
         return f"element {e}" if decompose(c) != (c, zero) or decompose(zp) != (zero, zp) else None
 
     rec.sample("projection-idempotent", "both projections are idempotent", budget, idempotent)
@@ -706,6 +726,7 @@ def _suite_decomposition(rec: _Recorder, n: int, rng: random.Random, budget: int
 def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
     B, A = AlgebraKind.B, AlgebraKind.A
     zminus1 = AlgebraElement.generator(B, n, Generator.z()) - AlgebraElement.one(B, n)
+    basis = functools.cache(functools.partial(basis_of_degree, B, n))  # by degree, built once per n
 
     def ring_hom():
         a = random_element(rng, B, n)
@@ -796,8 +817,8 @@ def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int)
 
     def degree_additivity():
         da, db = rng.randint(0, 3), rng.randint(0, 3)
-        a = loc.make(random_homogeneous(rng, B, n, da), rng.randint(0, 3))
-        b = loc.make(random_homogeneous(rng, B, n, db), rng.randint(0, 3))
+        a = loc.make(random_homogeneous(rng, B, n, basis(da)), rng.randint(0, 3))
+        b = loc.make(random_homogeneous(rng, B, n, basis(db)), rng.randint(0, 3))
         if a.is_zero() or b.is_zero():
             return None
         p = loc.loc_multiply(a, b)
@@ -826,6 +847,8 @@ def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int)
 
 
 def _suite_roundtrip(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
+    words = shriek_basis(n)
+
     def pbw_roundtrip():
         kind = rng.choice([AlgebraKind.A, AlgebraKind.B, AlgebraKind.C])
         e = random_element(rng, kind, n)
@@ -837,7 +860,7 @@ def _suite_roundtrip(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
 
     def shriek_roundtrip():
         kind = rng.choice([AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK])
-        e = ShriekElement(n, random_shriek(rng, n).coeffs, kind)
+        e = ShriekElement(n, random_shriek(rng, n, words).coeffs, kind)
         text = render(e, "text")
         back = reduce_expression(parse(text, n, kind), kind)
         return f"{text} -> {back}" if back != e else None

@@ -1,8 +1,24 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and oracle helpers shared by the test modules."""
 
 import pytest
 
 from weylkit import linalg, pbw
+
+
+def solve(matrix, rhs):
+    """The unique X with ``matrix`` X = ``rhs``, one column per right-hand side.
+
+    An oracle over ``linalg._eliminate``, run once on the augmented system:
+    ``matrix`` is square and ``rhs`` has as many rows; raises ValueError
+    when the matrix is singular.
+    """
+    m = len(matrix)
+    if any(len(row) != m for row in matrix) or len(rhs) != m:
+        raise ValueError("matrix is not square or rhs has the wrong number of rows")
+    reduced, pivots, _ = linalg._eliminate([list(row) + list(b) for row, b in zip(matrix, rhs)], m)
+    if len(pivots) != m:
+        raise ValueError("singular matrix")
+    return [row[m:] for row in reduced]
 
 
 @pytest.fixture

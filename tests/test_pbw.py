@@ -131,6 +131,39 @@ def test_pair_count_mismatch_is_a_size_mismatch():
         AlgebraElement.one(B, 1) + ShriekElement.one(1)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        PBWMonomial(-1, (0,), (0,)),  # printed 1, unequal to one, of degree -1
+        PBWMonomial(0, (-2,), (1,)),  # printed d1, and d1 times it was 0
+        PBWMonomial(True, (1.5,), (0,)),  # printed z*x1^1.5
+        PBWMonomial(True, (0,), (0,)),
+        PBWMonomial(0, (0,), (Fraction(1),)),
+    ],
+    ids=["negative-z", "negative-x", "bool-and-float", "bool", "fraction"],
+)
+def test_constructor_refuses_a_malformed_exponent(key):
+    with pytest.raises(ValueError):
+        AlgebraElement(B, 1, {key: 1})
+
+
+def test_constructor_keeps_the_arity_and_weyl_checks():
+    with pytest.raises(SizeMismatch):
+        AlgebraElement(B, 1, {PBWMonomial(0, (-1, 0), (0,)): 1})  # arity is checked first
+    with pytest.raises(IllegalGenerator):
+        AlgebraElement(A, 1, {PBWMonomial(1, (0,), (0,)): 1})
+
+
+def test_arithmetic_results_skip_the_key_check(monkeypatch):
+    checked = []
+    inner = AlgebraElement._check_keys
+    monkeypatch.setattr(AlgebraElement, "_check_keys", lambda self, keys: checked.append(len(keys)) or inner(self, keys))
+    a = AlgebraElement(B, 1, {PBWMonomial(1, (2,), (1,)): 3, PBWMonomial(0, (0,), (2,)): -1})
+    assert checked == [2]
+    b = multiply(a, a) + a.scaled(2) - commutator(a, a)
+    assert checked == [2] and not b.is_zero()
+
+
 def test_add_scale():
     x1 = gen_el(B, 1, Generator.x(1))
     assert (x1 + (-1) * x1).is_zero()
@@ -144,10 +177,10 @@ def test_element_core_immutable_and_drops_zeros(engine):
     # both engines share one element core; x1 * x1 = 0 in B!, and the
     # commutator of x1 with itself cancels term by term in B
     if engine == "pbw":
-        x1, zero = gen_el(B, 1, Generator.x(1)), AlgebraElement.zero(B, 1)
+        x1, zero = gen_el(B, 1, Generator.x(1)), AlgebraElement(B, 1)
         cancelled = commutator(x1, x1)
     else:
-        x1, zero = ShriekElement.generator(1, Generator.x(1)), ShriekElement.zero(1)
+        x1, zero = ShriekElement.generator(1, Generator.x(1)), ShriekElement(1)
         cancelled = shriek_multiply(x1, x1)
     with pytest.raises(AttributeError):
         x1.n = 2
@@ -193,7 +226,7 @@ def test_partial_degree_of_exchange_element():
 
 
 def test_degree_of_zero_is_an_error():
-    zero = AlgebraElement.zero(B, 1)
+    zero = AlgebraElement(B, 1)
     with pytest.raises(ZeroElement):
         partial_degree(zero)
     with pytest.raises(ZeroElement):

@@ -15,7 +15,7 @@ from weylkit import (
     pairing,
     relations_of,
 )
-from weylkit.quadratic import generator_names, relation_rows, relation_text
+from weylkit.quadratic import generator_names, relation_failure, relation_rows, relation_text
 from weylkit import linalg
 
 B, C = AlgebraKind.B, AlgebraKind.C
@@ -127,7 +127,7 @@ def test_complement_membership_examples():
 
 def test_rank_deficient_input_rejected():
     p = relations_of(B, 1)
-    doubled = QuadraticPresentation(1, B, p.generators, p.relations + (p.relations[0],))
+    doubled = QuadraticPresentation(p.generators, p.relations + (p.relations[0],))
     with pytest.raises(RankDeficientInput):
         orthogonal_complement(doubled)
 
@@ -181,7 +181,7 @@ def test_dual_spans_complement_by_sympy_oracle(n):
 def test_involution(n):
     p = relations_of(B, n)
     comp = orthogonal_complement(p)
-    back = orthogonal_complement(QuadraticPresentation(n, B, p.generators, comp.basis))
+    back = orthogonal_complement(QuadraticPresentation(p.generators, comp.basis))
     g = len(p.generators)
     assert linalg.span_equal(relation_rows(back.basis, g), relation_rows(p.relations, g))
 
@@ -196,3 +196,29 @@ def test_rank_nullity_against_sympy():
 
 def test_generator_names():
     assert generator_names(2) == ("x1", "x2", "d1", "d2", "z")
+
+
+def _failing(p, kind):
+    """The relations of ``p`` that are not zero in ``kind``, each found by ``relation_failure`` alone."""
+    return [r for r in p.relations if relation_failure(QuadraticPresentation(p.generators, (r,)), kind) is not None]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_engine_satisfies_its_presentation(n):
+    for base, dual_kind in ((B, AlgebraKind.B_SHRIEK), (C, AlgebraKind.C_SHRIEK)):
+        assert relation_failure(relations_of(base, n), base) is None
+        assert relation_failure(dual_presentation(base, n), dual_kind) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relation_failure_catches_the_wrong_engine(n):
+    # C commutes d_i x_i past x_i d_i with no z^2: the n mixed relations of B fail there
+    primal = relations_of(B, n)
+    assert relation_failure(primal, C) is not None
+    assert [relation_text(r, primal.generators) for r in _failing(primal, C)] == [
+        f"-x{i}*d{i} + d{i}*x{i} - z^2" for i in range(1, n + 1)
+    ]
+    # z^2 = 0 in C!, so only sum x_i d_i + z^2 fails there
+    dual = dual_presentation(B, n)
+    assert relation_failure(dual, AlgebraKind.C_SHRIEK) == dual.relations[-1]
+    assert _failing(dual, AlgebraKind.C_SHRIEK) == [dual.relations[-1]]

@@ -29,6 +29,8 @@ from weylkit.shriek import NakayamaMap, ShriekWord, defining_identity_failure, m
 from weylkit import linalg, shriek
 from weylkit.verify import random_shriek
 
+from conftest import solve
+
 x1, x2 = Generator.x(1), Generator.x(2)
 d1, d2 = Generator.d(1), Generator.d(2)
 z = Generator.z()
@@ -185,14 +187,35 @@ def test_multiply_associative_all_triples_n1():
 
 def test_multiply_associative_random_n2():
     rng = random.Random(61)
+    words = shriek_basis(2)
     for _ in range(500):
-        a, b, c = (random_shriek(rng, 2) for _ in range(3))
+        a, b, c = (random_shriek(rng, 2, words) for _ in range(3))
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
 
 def test_size_mismatch():
     with pytest.raises(SizeMismatch):
         multiply(ShriekElement.one(1), ShriekElement.one(2))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        ShriekWord(0, 2),  # printed 1, of degree 2
+        ShriekWord(0, -1),  # printed z, of degree -1
+        ShriekWord(True, 0),  # a negative or float mask fails to hash before it gets here
+        ShriekWord(1, True),
+    ],
+    ids=["zflag-2", "zflag-negative", "bool-letters", "bool-zflag"],
+)
+def test_constructor_refuses_a_malformed_word(word):
+    with pytest.raises(ValueError):
+        ShriekElement(1, {word: 1})
+
+
+def test_constructor_keeps_the_letter_range_check():
+    with pytest.raises(SizeMismatch):
+        ShriekElement(1, {ShriekWord(1 << 2, 0): 1})
 
 
 @pytest.mark.parametrize("kind", [AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK], ids=["B!", "C!"])
@@ -239,7 +262,7 @@ def test_decompose_examples():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_decompose_properties(n):
-    zero = ShriekElement.zero(n)
+    zero = ShriekElement(n)
     words = shriek_basis(n)
     zfree = [w for w in words if w.zflag == 0]
     assert len(zfree) == 2 ** (2 * n)
@@ -250,7 +273,7 @@ def test_decompose_properties(n):
             assert all(w.zflag == 0 for w in prod.coeffs)
     rng = random.Random(67)
     for _ in range(100):
-        e = random_shriek(rng, n)
+        e = random_shriek(rng, n, words)
         c, zp = decompose(e)
         assert c + zp == e
         assert decompose(c) == (c, zero)
@@ -401,7 +424,7 @@ def _solved_nakayama(n):
     deg1 = shriek_basis_of_degree(n, 1)
     g1 = shriek.gram_matrix(n, 1)
     system = [list(col) for col in zip(*g1)]  # transpose
-    solution = linalg.solve(system, shriek.gram_matrix(n, 2 * n))  # column jy belongs to deg1[jy]
+    solution = solve(system, shriek.gram_matrix(n, 2 * n))  # column jy belongs to deg1[jy]
     assert linalg.det(solution) != 0
     return {
         y.word_str(n): ShriekElement(n, {u: row[jy] for u, row in zip(deg1, solution) if row[jy]})
@@ -419,13 +442,13 @@ def test_nakayama_equals_the_gram_solve(n):
 
 def test_nakayama_solves_no_system(monkeypatch):
     calls = []
-    for module, name in ((linalg, "solve"), (linalg, "det"), (shriek, "gram_matrix")):
+    for module, name in ((linalg, "_eliminate"), (linalg, "det"), (shriek, "gram_matrix")):
         inner = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
     nakayama(3)
     assert calls == []
     _solved_nakayama(1)  # the wrappers count
-    assert calls == ["gram_matrix", "gram_matrix", "solve", "det"]
+    assert calls == ["gram_matrix", "gram_matrix", "_eliminate", "det", "_eliminate"]  # the solve, then det's own
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -483,8 +506,9 @@ def test_nakayama_multiplicative_n1_all_pairs():
 def test_nakayama_multiplicative_n2_random():
     nm = nakayama(2)
     rng = random.Random(73)
+    words = shriek_basis(2)
     for _ in range(500):
-        a, b = random_shriek(rng, 2), random_shriek(rng, 2)
+        a, b = random_shriek(rng, 2, words), random_shriek(rng, 2, words)
         assert apply_automorphism(nm, multiply(a, b)) == multiply(
             apply_automorphism(nm, a), apply_automorphism(nm, b)
         )

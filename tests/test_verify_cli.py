@@ -10,8 +10,18 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylkit import DefiningIdentityFailure, UnknownSuite, UnsupportedN, run_suite
+from weylkit import (
+    AlgebraKind,
+    DefiningIdentityFailure,
+    UnknownSuite,
+    UnsupportedN,
+    basis_of_degree,
+    dual_presentation,
+    relations_of,
+    run_suite,
+)
 from weylkit.cli import _VERBS, cli_main
+from weylkit.quadratic import relation_text
 from weylkit.verify import SUITE_NAMES, bless_golden, compute_golden, load_golden
 
 
@@ -78,6 +88,20 @@ def test_dual_suite_builds_each_presentation_once(monkeypatch):
     assert calls.count("_eliminate") == 27
 
 
+def test_dual_suite_catches_an_engine_off_its_presentation(monkeypatch):
+    from weylkit import verify
+
+    # hand C! the dual relations of B: they certify and count alike, but z^2 = 0 in C!
+    inner = verify.dual_presentation
+    monkeypatch.setattr(verify, "dual_presentation", lambda kind, n: inner(AlgebraKind.B, n))
+    report = run_suite("dual-orthogonality", 2)
+    failed = [(c.claim_id, c.witness) for c in report.checks if not c.passed]
+    assert failed == [
+        ("engines-satisfy-relations[n=1]", "x1*d1 + z^2 is not zero in C!"),
+        ("engines-satisfy-relations[n=2]", "x1*d1 + x2*d2 + z^2 is not zero in C!"),
+    ]
+
+
 def test_nakayama_suite_crash_fails_each_check_that_hits_it(monkeypatch):
     from weylkit import verify
 
@@ -131,6 +155,8 @@ EXPECTED_CLAIMS = {
         "orthogonality",
         "structured-dual-spans",
         "involution",
+        "engines-satisfy-relations",
+        "degree-two-dimension",
     },
     "shriek-dims": {
         "degree-dimensions",
@@ -394,6 +420,59 @@ def test_cli_verify_json_schema(capsys):
     assert isinstance(docs, list) and docs[0]["suiteName"] == "nakayama"
     for check in docs[0]["checks"]:
         assert check["status"] == "pass"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["A", "B", "C"])
+def test_cli_dims_counts_the_pbw_basis(capsys, kind, n):
+    # the verb counts by its own formula; the basis it counts is the oracle
+    want = [len(basis_of_degree(AlgebraKind(kind), n, d)) for d in range(9)]
+    assert cli_main(["dims", "--n", str(n), "--algebra", kind]) == 0
+    assert capsys.readouterr().out == " ".join(map(str, want)) + "\n"
+    assert cli_main(["dims", "--n", str(n), "--algebra", kind, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"algebra": kind, "n": n, "dims": want}
+
+
+def test_cli_center_json(capsys):
+    assert cli_main(["center", "--n", "2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["algebra"], doc["n"]) == ("B", 2)
+    assert doc["degrees"] == [
+        {
+            "d": d,
+            "dimension": 1,
+            "basis": [{"algebra": "B", "n": 2, "terms": [{"coeff": "1/1", "z": d, "x": [0, 0], "d": [0, 0]}]}],
+        }
+        for d in range(6)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["B", "C"])
+def test_cli_dual_json(capsys, kind):
+    primal, dual = relations_of(AlgebraKind(kind), 1), dual_presentation(AlgebraKind(kind), 1)
+    assert cli_main(["dual", "--n", "1", "--algebra", kind, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "algebra": kind,
+        "n": 1,
+        "generators": ["x1", "d1", "z"],
+        "primal_relations": [relation_text(r, primal.generators) for r in primal.relations],
+        "dual_relations": [relation_text(r, dual.generators) for r in dual.relations],
+    }
+
+
+def test_cli_nakayama_text(capsys):
+    # the Nakayama automorphism of B! fixes every generator
+    assert cli_main(["nakayama", "--n", "2"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"sigma({g}) = {g}\n" for g in ("d1", "d2", "x1", "x2", "z")
+    ) + "z scalar k = 1\n"
+
+
+def test_cli_verify_all(capsys):
+    assert cli_main(["verify", "all", "--n", "1", "--budget", "5"]) == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if "] suite " in line]
+    assert [line.split("]")[0][1:] for line in verdicts] == list(SUITE_NAMES)
+    assert all(" suite PASS (" in line for line in verdicts)
 
 
 def test_cli_verify_unknown_suite_fails(capsys):
