@@ -3,14 +3,16 @@
 The table ``_VERBS`` gives each verb only the options it reads besides
 ``--n`` and ``--json``, and the largest ``--n`` it accepts; any other
 option is a usage error.  Exit status is 0 iff everything succeeded (for
-``verify``: iff every check passed), 1 on a named error or a failed
-check, and 2 on a usage error.
+``verify``: iff every check passed), 1 on a named error, a failed check
+or a stdout the reader closed (``main`` exits without a traceback), and 2
+on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import textwrap
 from math import comb
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_positive_int, default=1, help="pair count (default 1)")
         p.add_argument("--json", dest="format", action="store_const", const="json", default="text", help="emit JSON instead of text")
         if verb.kinds:
-            # case-insensitive, as in AlgebraKind.from_string
+            # case-insensitive; cli_main turns the choice into an AlgebraKind
             p.add_argument("--algebra", type=str.upper, choices=verb.kinds, default="B", help="target algebra (default B)")
         if verb.exprs:
             p.add_argument("expr", nargs=verb.exprs)
@@ -261,7 +263,14 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        status = cli_main()
+        sys.stdout.flush()  # a closed stdout fails here, inside the try, not at exit
+    except BrokenPipeError:
+        # the reader has gone: send the interpreter's final flush to devnull, as the Python docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

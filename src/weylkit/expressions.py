@@ -141,12 +141,12 @@ def bounded_product(a: SparseElement, b: SparseElement, comm: bool = False) -> S
 
 class _Build(NamedTuple):
     """What a walk of the grammar builds from atoms, with ``one`` the unit of
-    ``mul``: sums, negations and products default to the values' own operators."""
+    ``mul``: sums use the values' own ``+``, and negations and products
+    default to the values' own operators."""
 
     generator: Callable[[Generator], Any]
     constant: Callable[[Fraction], Any]
     one: Any
-    add: Callable[[Any, Any], Any] = operator.add
     neg: Callable[[Any], Any] = operator.neg
     mul: Callable[[Any, Any], Any] = operator.mul
 
@@ -214,7 +214,7 @@ class _Parser:
         # add in pairs: a sum of k summands then copies k log k terms, not k^2 / 2
         while len(summands) > 1:
             pairs = zip(summands[::2], summands[1::2])
-            summands = [self.build.add(u, v) for u, v in pairs] + summands[len(summands) & ~1:]
+            summands = [u + v for u, v in pairs] + summands[len(summands) & ~1:]
         return summands[0]
 
     def term(self):
@@ -276,38 +276,36 @@ class _Parser:
         self.fail({"variable", "number", "'('"})
 
 
-def parse(text: str, n: int, kind: AlgebraKind | str) -> FreeExpression:
+def parse(text: str, n: int, kind: AlgebraKind) -> FreeExpression:
     """Parse ``text`` into a raw free-algebra expression.
 
-    Validates indices against ``n`` and z-legality against ``kind``; does
-    no algebraic simplification beyond rational normalization.  This is
+    Validates indices against ``n`` and z-legality against ``kind``, an
+    ``AlgebraKind`` (the CLI maps ``--algebra`` text to one); does no
+    algebraic simplification beyond rational normalization.  This is
     the literal route, which ``pbw.normal_form`` and
     ``shriek.reduce_expression`` finish by rewriting.
 
-    >>> str(parse("3/2 * z * x2", 2, "B"))
+    >>> str(parse("3/2 * z * x2", 2, AlgebraKind.B))
     '3/2*z*x2'
     """
-    if isinstance(kind, str):
-        kind = AlgebraKind.from_string(kind)
     return FreeExpression.from_terms(n, _Parser(text, n, kind, _FREE_WORDS).parse())
 
 
-def evaluate(text: str, n: int, kind: AlgebraKind | str) -> SparseElement:
-    """The canonical element ``text`` denotes in ``kind``.
+def evaluate(text: str, n: int, kind: AlgebraKind) -> SparseElement:
+    """The canonical element ``text`` denotes in ``kind``, an ``AlgebraKind``.
 
     Walks the grammar as ``parse`` does, but builds elements with the
     algebra's own arithmetic: the closed-form ``multiply`` for A, B and C,
     the closed-form word product for B! and C!, and square and multiply for
-    powers, each product through ``bounded_product``.  It equals the
+    powers, each product through ``bounded_product``; a rational constant
+    is the unit ``scaled`` by it.  It equals the
     normal form of ``parse(text, n, kind)``.  The two routes refuse the same
     malformed texts with the same errors; each bounds the size of what it
     builds in its own way.
 
-    >>> str(evaluate("d1*x1", 1, "B"))
+    >>> str(evaluate("d1*x1", 1, AlgebraKind.B))
     'x1*d1 + z^2'
     """
-    if isinstance(kind, str):
-        kind = AlgebraKind.from_string(kind)
     if kind.is_shriek:
         one, generator = ShriekElement.one(n, kind), lambda g: ShriekElement.generator(n, g, kind)
     else:

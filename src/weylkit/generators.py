@@ -42,15 +42,6 @@ class AlgebraKind(enum.Enum):
     def is_shriek(self) -> bool:
         return self in (AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK)
 
-    @classmethod
-    def from_string(cls, text: str) -> "AlgebraKind":
-        try:
-            return cls(text.upper().replace(" ", ""))
-        except ValueError:
-            raise ValueError(
-                f"unknown algebra kind {text!r}; expected one of A, B, C, B!, C!"
-            ) from None
-
 
 @dataclass(frozen=True)
 class Generator:
@@ -174,10 +165,13 @@ class SparseElement:
     arithmetic below may leave zeros in the dicts it builds.  A subclass
     supplies ``_check_keys``, ``_times`` (its module's ``multiply``) and
     ``_one`` (the unit); a key supplies ``degree`` and, given the pair
-    count, ``term_key``, ``word_str`` and ``json_fields``.  Two elements
-    are equal iff kind, n and the coefficient maps agree.  The constructor
-    checks every key with ``_check_keys``, as keys may come from outside;
-    ``_like`` skips the check, its keys being built from checked ones.
+    count, ``term_key``, ``word_str`` and ``json_fields``.  ``*`` multiplies
+    two elements of one type, n and kind, which ``_bilinear`` checks; a
+    scalar goes through ``scaled``, so ``e * 2`` and ``2 * e`` raise
+    TypeError.  Two elements are equal iff kind, n and the coefficient
+    maps agree.  The constructor checks every key with ``_check_keys``, as
+    keys may come from outside; ``_like`` skips the check, its keys being
+    built from checked ones.
     """
 
     __slots__ = ("kind", "n", "coeffs")
@@ -226,8 +220,11 @@ class SparseElement:
         """Terms in canonical order (leading terms first)."""
         return sorted(self.coeffs.items(), key=lambda kc: kc[0].term_key(self.n))
 
+    def degrees(self) -> set[int]:
+        return {key.degree for key in self.coeffs}
+
     def is_homogeneous(self) -> bool:
-        return len({key.degree for key in self.coeffs}) <= 1
+        return len(self.degrees()) <= 1
 
     def __eq__(self, other) -> bool:
         # kinds are disjoint between the engines, so equal kinds mean equal types
@@ -258,14 +255,7 @@ class SparseElement:
         return self._like({key: c * v for key, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
         return self._times(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
 
     def __pow__(self, k: int):
         return power(self, k, operator.mul, self._one())
@@ -276,6 +266,7 @@ class SparseElement:
         ``basis_product`` returns the (key, coefficient) terms of the
         product of two basis keys.
         """
+        self._check_compatible(other)
         kind, n = self.kind, self.n
         out = {}
         for u, cu in self.coeffs.items():

@@ -29,8 +29,9 @@ Rewriting rules (applied to adjacent generator pairs):
 Kind C sorts all pairs commutatively.  Pending words are rewritten in
 decreasing order of the termination measure, so like words merge before
 they are reduced and each distinct word is reduced once.  Each word's
-leftmost redex is rewritten; passing an ``rng`` picks redexes at random,
-which the confluence tests exercise.
+redexes are listed, as ``shriek`` lists them, and the leftmost is
+rewritten; passing an ``rng`` picks one at random, which the confluence
+tests exercise.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ from .errors import (
     ZeroElement,
 )
 from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
-
-Rational = Fraction | int
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,8 @@ class AlgebraElement(SparseElement):
         return AlgebraElement(kind, n, {_ranks_to_monomial((), n): Fraction(1)})
 
     @staticmethod
-    def monomial(kind: AlgebraKind, n: int, m: PBWMonomial, coeff: Rational = 1) -> "AlgebraElement":
-        return AlgebraElement(kind, n, {m: Fraction(coeff)})
+    def monomial(kind: AlgebraKind, n: int, m: PBWMonomial) -> "AlgebraElement":
+        return AlgebraElement(kind, n, {m: Fraction(1)})
 
     @staticmethod
     def generator(kind: AlgebraKind, n: int, g: Generator) -> "AlgebraElement":
@@ -166,11 +165,9 @@ class AlgebraElement(SparseElement):
 # d_i -> n+i-1, z -> 2n), so a word is canonical iff its ranks are
 # nondecreasing.
 
-def _leftmost_redex(ranks: tuple[int, ...]) -> int | None:
-    for i in range(len(ranks) - 1):
-        if ranks[i] > ranks[i + 1]:
-            return i
-    return None
+def _redexes(ranks: tuple[int, ...]) -> list[int]:
+    """The positions of the descents of ``ranks``, left to right."""
+    return [i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1]]
 
 
 def _ranks_to_monomial(ranks: tuple[int, ...], n: int) -> PBWMonomial:
@@ -244,15 +241,12 @@ def _reduce_rank_words(
         coeff = pending.pop(ranks)
         if coeff == 0:
             continue
-        if rng is None:
-            pos = _leftmost_redex(ranks)
-        else:
-            redexes = [i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1]]
-            pos = rng.choice(redexes) if redexes else None
-        if pos is None:
+        redexes = _redexes(ranks)
+        if not redexes:
             m = _ranks_to_monomial(ranks, n)
             out[m] = out.get(m, 0) + coeff
             continue
+        pos = redexes[0] if rng is None else rng.choice(redexes)
         a, b = ranks[pos], ranks[pos + 1]
         swapped = ranks[:pos] + (b, a) + ranks[pos + 2 :]
         if 2 * n > a >= n > b:
@@ -320,7 +314,6 @@ def _mul_monomials(m1: PBWMonomial, m2: PBWMonomial, kind: AlgebraKind, n: int):
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Canonical product.  Bilinear and associative; unit is ``one``."""
-    a._check_compatible(b)
     return a._bilinear(b, _mul_monomials)
 
 

@@ -61,10 +61,16 @@ class ShriekWord:
     zflag: int
 
     def __hash__(self) -> int:
+        # total, so that a malformed word reaches ShriekElement's key check
         letters = self.letters
-        if letters >> 60:
+        try:
+            big = letters >> 60
+        except TypeError:  # not an int
+            return hash((letters, self.zflag))
+        if big:  # a mask of 2^60 or more, or a negative one
             # Python hashes an int modulo 2^61 - 1, so the letters of ranks r and r+61 would collide
-            letters = letters.to_bytes((letters.bit_length() + 7) // 8, "little")
+            signed = letters < 0
+            letters = letters.to_bytes((letters.bit_length() + 7 + signed) // 8, "little", signed=signed)
         return hash((letters, self.zflag))
 
     @property
@@ -133,9 +139,6 @@ class ShriekElement(SparseElement):
     def generator(n: int, g: Generator, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
         g.check(n, kind)
         return ShriekElement.word(n, _ranks_to_word([g.rank(n)], n), 1, kind)
-
-    def degrees(self) -> set[int]:
-        return {w.degree for w in self.coeffs}
 
     def _times(self, other: "ShriekElement") -> "ShriekElement":
         return multiply(self, other)
@@ -254,7 +257,6 @@ def _word_product(u: ShriekWord, v: ShriekWord, kind: AlgebraKind, n: int):
 
 def multiply(a: ShriekElement, b: ShriekElement) -> ShriekElement:
     """Bilinear extension of word concatenation followed by reduction."""
-    a._check_compatible(b)
     return a._bilinear(b, _word_product)
 
 

@@ -37,13 +37,13 @@ def eliminations(monkeypatch):
 
 @pytest.fixture
 def rewrite_steps(monkeypatch):
-    """Records each word the default strategy rewrites: one leftmost-redex search per word."""
+    """Records each word the PBW rewriting loop pops: one redex listing per word."""
     words = []
-    inner = pbw._leftmost_redex
+    inner = pbw._redexes
 
     def counting(ranks):
         words.append(ranks)
         return inner(ranks)
 
-    monkeypatch.setattr(pbw, "_leftmost_redex", counting)
+    monkeypatch.setattr(pbw, "_redexes", counting)
     return words

@@ -94,7 +94,7 @@ def test_exchange_identity_general_power():
     z2 = z_shift(AlgebraElement.one(B, 1), 2)
     for a in (1, 2, 5, 13):
         lhs = multiply(d1, x1**a)
-        rhs = multiply(x1**a, d1) + a * multiply(z2, x1 ** (a - 1))
+        rhs = multiply(x1**a, d1) + multiply(z2, x1 ** (a - 1)).scaled(a)
         assert lhs == rhs
 
 
@@ -166,7 +166,7 @@ def test_arithmetic_results_skip_the_key_check(monkeypatch):
 
 def test_add_scale():
     x1 = gen_el(B, 1, Generator.x(1))
-    assert (x1 + (-1) * x1).is_zero()
+    assert (x1 + x1.scaled(-1)).is_zero()
     assert x1.scaled(0).is_zero()
     e = nf("x1*d1", 1, B) + nf("z^2", 1, B)
     assert str(e) == "x1*d1 + z^2"
@@ -189,6 +189,20 @@ def test_element_core_immutable_and_drops_zeros(engine):
     for e in (x1 - x1, x1.scaled(0), cancelled):
         assert e.coeffs == {}
         assert e == zero
+
+
+@pytest.mark.parametrize("engine", ["pbw", "shriek"])
+def test_a_scalar_multiplies_through_scaled_only(engine):
+    if engine == "pbw":
+        e = nf("x1*d1 + z", 1, B)
+    else:
+        e = ShriekElement.generator(1, Generator.x(1)) + ShriekElement.generator(1, Generator.z())
+    for scalar in (2, Fraction(2)):
+        with pytest.raises(TypeError):
+            e * scalar
+        with pytest.raises(TypeError):
+            scalar * e
+    assert e.scaled(2).coeffs == {key: 2 * c for key, c in e.coeffs.items()}
 
 
 def test_commutator_examples():

@@ -60,13 +60,13 @@ def test_private_imports_sees_both_forms(tmp_path):
     path.write_text(
         "from . import linalg, localization as loc\n"
         "from .quadratic import _relation_rows, pairing\n"
-        "from weylkit.pbw import _leftmost_redex\n"
+        "from weylkit.pbw import _redexes\n"
         "linalg._eliminate([], 0)\n"
         "loc.theta\n"
         "linalg.__name__\n"
     )
     assert sorted(private_imports(path)) == [
         "linalg._eliminate",
-        "pbw._leftmost_redex",
+        "pbw._redexes",
         "quadratic._relation_rows",
     ]

@@ -203,10 +203,12 @@ def test_size_mismatch():
     [
         ShriekWord(0, 2),  # printed 1, of degree 2
         ShriekWord(0, -1),  # printed z, of degree -1
-        ShriekWord(True, 0),  # a negative or float mask fails to hash before it gets here
+        ShriekWord(True, 0),
         ShriekWord(1, True),
+        ShriekWord(-1, 0),  # the hash takes a negative or float mask to the key check
+        ShriekWord(1.5, 0),
     ],
-    ids=["zflag-2", "zflag-negative", "bool-letters", "bool-zflag"],
+    ids=["zflag-2", "zflag-negative", "bool-letters", "bool-zflag", "negative-letters", "float-letters"],
 )
 def test_constructor_refuses_a_malformed_word(word):
     with pytest.raises(ValueError):

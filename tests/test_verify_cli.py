@@ -3,9 +3,12 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -811,3 +814,43 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x1*d1 + z^2"
+
+
+def test_console_entry_point_exits_quietly_on_a_closed_stdout():
+    # 869 252 bytes of dimensions: more than a pipe buffers, so the CLI writes after the close
+    with subprocess.Popen(
+        [sys.executable, "-m", "weylkit.cli", "dims", "--n", "1000", "--algebra", "B!"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def _readme_verb_rows() -> list[tuple[str, str]]:
+    """(example, output) of each row of README's verb table, the backticks of the example stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = []
+    for line in readme.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]  # "A\|B" is one cell
+        if len(cells) == 5 and cells[3].startswith("`weylkit "):
+            rows.append((cells[3].strip("`"), cells[4]))
+    return rows
+
+
+_README_ROWS = _readme_verb_rows()
+
+
+def test_readme_verb_table_has_a_row_per_verb():
+    assert sorted(shlex.split(example)[1] for example, _ in _README_ROWS) == sorted(_VERBS)
+
+
+@pytest.mark.parametrize("example, output", _README_ROWS, ids=[shlex.split(e)[1] for e, _ in _README_ROWS])
+def test_readme_verb_example_runs(capsys, example, output):
+    assert cli_main(shlex.split(example)[1:]) == 0
+    out = capsys.readouterr().out
+    if re.fullmatch(r"`[^`]*`", output):  # a literal output, not a description
+        assert out.strip() == output.strip("`")
