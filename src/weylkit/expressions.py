@@ -30,11 +30,10 @@ import json
 import operator
 import re
 import sys
-from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from .errors import ExpressionTooLarge, IndexOutOfRange, ParseError
-from .generators import AlgebraKind, FreeExpression, Generator, SparseElement, power
+from .generators import AlgebraKind, FreeExpression, Generator, Rational, SparseElement, power, quotient
 from . import pbw, shriek
 from .localization import LocalizedElement
 from .pbw import AlgebraElement
@@ -68,7 +67,7 @@ _TOKEN_RE = re.compile(
 )
 
 # A parsed sum of words, before any canonicalization.
-_Terms = list[tuple[Fraction, tuple[Generator, ...]]]
+_Terms = list[tuple[Rational, tuple[Generator, ...]]]
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -145,7 +144,7 @@ class _Build(NamedTuple):
     default to the values' own operators."""
 
     generator: Callable[[Generator], Any]
-    constant: Callable[[Fraction], Any]
+    constant: Callable[[Rational], Any]
     one: Any
     neg: Callable[[Any], Any] = operator.neg
     mul: Callable[[Any, Any], Any] = operator.mul
@@ -164,9 +163,9 @@ def _times(a: _Terms, b: _Terms) -> _Terms:
 
 # The literal route: the free expansion, one word per path through the sums.
 _FREE_WORDS = _Build(
-    generator=lambda g: [(Fraction(1), (g,))],
+    generator=lambda g: [(1, (g,))],
     constant=lambda c: [(c, ())],
-    one=[(Fraction(1), ())],
+    one=[(1, ())],
     neg=lambda terms: [(-c, w) for c, w in terms],
     mul=_times,
 )
@@ -261,8 +260,8 @@ class _Parser:
                 if den_tok is None or den_tok[0] != "NAT" or int(den_tok[1]) == 0:
                     self.fail({"nonzero denominator"})
                 self.pos += 1
-                return self.build.constant(Fraction(num, int(den_tok[1])))
-            return self.build.constant(Fraction(num))
+                return self.build.constant(quotient(num, int(den_tok[1])))
+            return self.build.constant(num)
         if value == "(":
             if self.depth == _MAX_DEPTH:
                 self.fail({f"at most {_MAX_DEPTH} nested '('"})
@@ -315,7 +314,7 @@ def evaluate(text: str, n: int, kind: AlgebraKind) -> SparseElement:
 
 # -- rendering -----------------------------------------------------------------
 
-def format_terms(parts: list[tuple[Fraction, str]]) -> str:
+def format_terms(parts: list[tuple[Rational, str]]) -> str:
     """Join (coefficient, monomial-text) pairs into canonical text."""
     if not parts:
         return "0"

@@ -10,6 +10,7 @@ is the arithmetic both element engines (PBW and shriek) share.
 from __future__ import annotations
 
 import enum
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,6 +106,30 @@ def rank_generator(r: int, n: int) -> Generator:
 
 Word = tuple[Generator, ...]
 
+# A coefficient: an int when integral, else a Fraction with denominator > 1 (see ``exact``).
+Rational = int | Fraction
+
+
+def exact(c) -> Rational:
+    """The one coefficient rule: ``c`` as an int when integral, else as a Fraction.
+
+    Anything that is not a ``numbers.Rational`` (a float, a str, a
+    Decimal) raises TypeError, so no inexact value becomes a coefficient.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if not isinstance(c, numbers.Rational):
+        raise TypeError(f"coefficient {c!r} is not an exact rational")
+    return quotient(int(c.numerator), int(c.denominator))
+
+
+def quotient(a: int, b: int) -> Rational:
+    """``exact(a / b)`` for ints, with no Fraction built when b divides a."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
 
 @dataclass(frozen=True)
 class FreeExpression:
@@ -116,20 +141,20 @@ class FreeExpression:
     """
 
     n: int
-    terms: tuple[tuple[Fraction, Word], ...]
+    terms: tuple[tuple[Rational, Word], ...]
 
     @staticmethod
-    def from_terms(n: int, terms: Sequence[tuple[Fraction, Sequence[Generator]]]) -> "FreeExpression":
-        return FreeExpression(n, tuple((Fraction(c), tuple(w)) for c, w in terms))
+    def from_terms(n: int, terms: Sequence[tuple[Rational, Sequence[Generator]]]) -> "FreeExpression":
+        return FreeExpression(n, tuple((exact(c), tuple(w)) for c, w in terms))
 
-    def rank_terms(self, kind: AlgebraKind) -> dict[tuple[int, ...], Fraction]:
+    def rank_terms(self, kind: AlgebraKind) -> dict[tuple[int, ...], Rational]:
         """The summed coefficient of each rank word, every generator checked against ``kind``."""
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Rational] = {}
         for c, word in self.terms:
             for g in word:
                 g.check(self.n, kind)
             ranks = tuple(g.rank(self.n) for g in word)
-            terms[ranks] = terms.get(ranks, Fraction(0)) + c
+            terms[ranks] = terms.get(ranks, 0) + c
         return terms
 
     def __str__(self) -> str:
@@ -161,8 +186,11 @@ class SparseElement:
 
     The shared core of :class:`weylkit.pbw.AlgebraElement` (keys are PBW
     monomials) and :class:`weylkit.shriek.ShriekElement` (keys are
-    square-free words).  Construction drops zero coefficients, so the
-    arithmetic below may leave zeros in the dicts it builds.  A subclass
+    square-free words).  Each coefficient is stored by ``exact``: an int
+    when integral, else a Fraction, so integral products multiply ints,
+    and a float or a str coefficient raises TypeError.  Construction
+    drops zero coefficients, so the arithmetic below may leave zeros in
+    the dicts it builds.  A subclass
     supplies ``_check_keys``, ``_times`` (its module's ``multiply``) and
     ``_one`` (the unit); a key supplies ``degree`` and, given the pair
     count, ``term_key``, ``word_str`` and ``json_fields``.  ``*`` multiplies
@@ -183,10 +211,9 @@ class SparseElement:
     def _fill(self, kind: AlgebraKind, n: int, coeffs: dict | None) -> None:
         clean = {}
         for key, c in (coeffs or {}).items():
-            # Fraction(c) of an exact Fraction is a slow copy; fractions are immutable
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c != 0:
+            if type(c) is not int:
+                c = exact(c)
+            if c:
                 clean[key] = c
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
@@ -250,8 +277,8 @@ class SparseElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, c: Fraction | int):
-        c = Fraction(c)
+    def scaled(self, c: Rational):
+        c = exact(c)
         return self._like({key: c * v for key, v in self.coeffs.items()})
 
     def __mul__(self, other):

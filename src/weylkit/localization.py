@@ -21,10 +21,9 @@ The maps here are all element-level:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import KindMismatch, NotDegreeZero, SizeMismatch
-from .generators import AlgebraKind
+from .generators import AlgebraKind, Rational
 from .pbw import (
     AlgebraElement,
     PBWMonomial,
@@ -105,7 +104,7 @@ def dehomogenize(b: AlgebraElement) -> AlgebraElement:
     """Send z to 1.  PBW monomials map to PBW monomials; coefficients merge."""
     if b.kind is not AlgebraKind.B:
         raise KindMismatch(f"dehomogenize expects kind B, got {b.kind.value}")
-    out: dict[PBWMonomial, Fraction] = {}
+    out: dict[PBWMonomial, Rational] = {}
     for m, c in b.coeffs.items():
         target = PBWMonomial(0, m.xexps, m.dexps)
         out[target] = out.get(target, 0) + c
@@ -121,7 +120,7 @@ def kernel_witness(b: AlgebraElement) -> AlgebraElement | None:
     """
     if not dehomogenize(b).is_zero():
         return None
-    out: dict[PBWMonomial, Fraction] = {}
+    out: dict[PBWMonomial, Rational] = {}
     for m, c in b.coeffs.items():
         for t in range(m.zexp):
             target = PBWMonomial(t, m.xexps, m.dexps)

@@ -41,7 +41,6 @@ import itertools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 from operator import add
 from typing import Sequence
@@ -53,7 +52,7 @@ from .errors import (
     SizeMismatch,
     ZeroElement,
 )
-from .generators import AlgebraKind, FreeExpression, Generator, SparseElement
+from .generators import AlgebraKind, FreeExpression, Generator, Rational, SparseElement
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ class AlgebraElement(SparseElement):
 
     __slots__ = ()
 
-    def __init__(self, kind: AlgebraKind, n: int, coeffs: dict[PBWMonomial, Fraction] | None = None):
+    def __init__(self, kind: AlgebraKind, n: int, coeffs: dict[PBWMonomial, Rational] | None = None):
         if kind not in (AlgebraKind.A, AlgebraKind.B, AlgebraKind.C):
             raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
         SparseElement.__init__(self, kind, n, coeffs)
@@ -139,16 +138,16 @@ class AlgebraElement(SparseElement):
 
     @staticmethod
     def one(kind: AlgebraKind, n: int) -> "AlgebraElement":
-        return AlgebraElement(kind, n, {_ranks_to_monomial((), n): Fraction(1)})
+        return AlgebraElement(kind, n, {_ranks_to_monomial((), n): 1})
 
     @staticmethod
     def monomial(kind: AlgebraKind, n: int, m: PBWMonomial) -> "AlgebraElement":
-        return AlgebraElement(kind, n, {m: Fraction(1)})
+        return AlgebraElement(kind, n, {m: 1})
 
     @staticmethod
     def generator(kind: AlgebraKind, n: int, g: Generator) -> "AlgebraElement":
         g.check(n, kind)
-        return AlgebraElement(kind, n, {_ranks_to_monomial((g.rank(n),), n): Fraction(1)})
+        return AlgebraElement(kind, n, {_ranks_to_monomial((g.rank(n),), n): 1})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -200,11 +199,11 @@ def _measure(ranks: tuple[int, ...], n: int) -> tuple[int, int]:
 
 
 def _reduce_rank_words(
-    terms: dict[tuple[int, ...], Fraction],
+    terms: dict[tuple[int, ...], Rational],
     kind: AlgebraKind,
     n: int,
     rng: random.Random | None = None,
-) -> dict[PBWMonomial, Fraction]:
+) -> dict[PBWMonomial, Rational]:
     """Rewrite coefficient-carrying rank words to the canonical monomial map.
 
     The map may hold zero coefficients; the element constructor drops them.
@@ -221,8 +220,8 @@ def _reduce_rank_words(
     contributions have merged into it, and each distinct word is reduced
     exactly once.
     """
-    out: dict[PBWMonomial, Fraction] = {}
-    pending: dict[tuple[int, ...], Fraction] = {}
+    out: dict[PBWMonomial, Rational] = {}
+    pending: dict[tuple[int, ...], Rational] = {}
     heap: list[tuple[int, int, tuple[int, ...]]] = []  # (-dx, -other, word): a min-heap
     z_squared = (2 * n, 2 * n) if kind is AlgebraKind.B else ()
 
@@ -282,7 +281,7 @@ def word_normal_form(
     rng: random.Random | None = None,
 ) -> AlgebraElement:
     """Normal form of a single free word."""
-    return normal_form(FreeExpression.from_terms(n, [(Fraction(1), word)]), kind, rng)
+    return normal_form(FreeExpression.from_terms(n, [(1, word)]), kind, rng)
 
 
 # -- closed-form multiplication ---------------------------------------------

@@ -26,15 +26,13 @@ have rank (2n+1)^2 minus the rank of the primal ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
 from . import linalg
 from .errors import RankDeficientInput
 from .expressions import evaluate, format_terms
-from .generators import AlgebraKind, Generator, rank_generator
+from .generators import AlgebraKind, Generator, Rational, rank_generator
 
 # one relation: sparse map over ordered generator-index pairs
-Relation = dict[tuple[int, int], Fraction]
+Relation = dict[tuple[int, int], Rational]
 
 
 def generator_names(n: int) -> tuple[str, ...]:
@@ -64,11 +62,11 @@ class DualRelationBasis:
 
 
 def _comm(u: int, v: int) -> Relation:
-    return {(u, v): Fraction(1), (v, u): Fraction(-1)}
+    return {(u, v): 1, (v, u): -1}
 
 
 def _anticomm(u: int, v: int) -> Relation:
-    return {(u, v): Fraction(1), (v, u): Fraction(1)}
+    return {(u, v): 1, (v, u): 1}
 
 
 def relations_of(kind: AlgebraKind, n: int) -> QuadraticPresentation:
@@ -99,7 +97,7 @@ def relations_of(kind: AlgebraKind, n: int) -> QuadraticPresentation:
             for j in range(n):
                 rel = _comm(d[i], x[j])
                 if i == j:
-                    rel[(z, z)] = Fraction(-1)
+                    rel[(z, z)] = -1
                 rels.append(rel)
         for i in range(n):
             rels.append(_comm(x[i], z))
@@ -108,9 +106,9 @@ def relations_of(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     return QuadraticPresentation(gens, tuple(rels))
 
 
-def pairing(r: Relation, s: Relation) -> Fraction:
+def pairing(r: Relation, s: Relation) -> Rational:
     """<r, s> = sum over (u,v) of r[u,v] * s[v,u]."""
-    total = Fraction(0)
+    total = 0
     for (u, v), c in r.items():
         other = s.get((v, u))
         if other is not None:
@@ -118,11 +116,11 @@ def pairing(r: Relation, s: Relation) -> Fraction:
     return total
 
 
-def relation_rows(rels: list[Relation] | tuple[Relation, ...], g: int) -> list[list[Fraction]]:
+def relation_rows(rels: list[Relation] | tuple[Relation, ...], g: int) -> list[list[Rational]]:
     """Relations as dense coefficient rows over the (u,v) grid."""
     rows = []
     for rel in rels:
-        row = [Fraction(0)] * (g * g)
+        row = [0] * (g * g)
         for (u, v), c in rel.items():
             row[u * g + v] = c
         rows.append(row)
@@ -160,15 +158,15 @@ def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     rels: list[Relation] = []
     if kind is AlgebraKind.C:
         for u in range(2 * n + 1):
-            rels.append({(u, u): Fraction(1)})
+            rels.append({(u, u): 1})
         for u in range(2 * n + 1):
             for v in range(u + 1, 2 * n + 1):
                 rels.append(_anticomm(u, v))
     else:
         for i in range(n):
-            rels.append({(x[i], x[i]): Fraction(1)})
+            rels.append({(x[i], x[i]): 1})
         for i in range(n):
-            rels.append({(d[i], d[i]): Fraction(1)})
+            rels.append({(d[i], d[i]): 1})
         for i in range(n):
             for j in range(i + 1, n):
                 rels.append(_anticomm(x[i], x[j]))
@@ -182,8 +180,8 @@ def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
             rels.append(_anticomm(x[i], z))
         for i in range(n):
             rels.append(_anticomm(d[i], z))
-        loop: Relation = {(x[i], d[i]): Fraction(1) for i in range(n)}
-        loop[(z, z)] = Fraction(1)
+        loop: Relation = {(x[i], d[i]): 1 for i in range(n)}
+        loop[(z, z)] = 1
         rels.append(loop)
     g = len(gens)
     primal = relations_of(kind, n).relations

@@ -42,15 +42,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
 from .errors import KindMismatch, SizeMismatch
-from .generators import AlgebraKind, FreeExpression, Generator, SparseElement, rank_generator
-
-Rational = Fraction | int
+from .generators import AlgebraKind, FreeExpression, Generator, Rational, SparseElement, rank_generator
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ class ShriekElement(SparseElement):
 
     __slots__ = ()
 
-    def __init__(self, n: int, coeffs: dict[ShriekWord, Fraction] | None = None,
+    def __init__(self, n: int, coeffs: dict[ShriekWord, Rational] | None = None,
                  kind: AlgebraKind = AlgebraKind.B_SHRIEK):
         if kind not in (AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK):
             raise KindMismatch(f"shriek engine handles kinds B! and C!, got {kind.value}")
@@ -128,12 +125,12 @@ class ShriekElement(SparseElement):
 
     @staticmethod
     def one(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
-        return ShriekElement(n, {ShriekWord(0, 0): Fraction(1)}, kind)
+        return ShriekElement(n, {ShriekWord(0, 0): 1}, kind)
 
     @staticmethod
     def word(n: int, w: ShriekWord, coeff: Rational = 1,
              kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
-        return ShriekElement(n, {w: Fraction(coeff)}, kind)
+        return ShriekElement(n, {w: coeff}, kind)
 
     @staticmethod
     def generator(n: int, g: Generator, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
@@ -173,14 +170,14 @@ def degree_dimensions(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> list[
 # -- word reduction ------------------------------------------------------------
 
 def _reduce_rank_words(
-    terms: dict[tuple[int, ...], Fraction],
+    terms: dict[tuple[int, ...], Rational],
     n: int,
     kind: AlgebraKind,
     rng: random.Random | None = None,
-) -> dict[ShriekWord, Fraction]:
+) -> dict[ShriekWord, Rational]:
     # the map may hold zero coefficients; callers drop them
     z_rank = 2 * n
-    out: dict[ShriekWord, Fraction] = {}
+    out: dict[ShriekWord, Rational] = {}
     pending = dict(terms)
     while pending:
         ranks, coeff = pending.popitem()
@@ -195,13 +192,13 @@ def _reduce_rank_words(
         a, b = ranks[pos], ranks[pos + 1]
         if a > b:
             swapped = ranks[:pos] + (b, a) + ranks[pos + 2 :]
-            pending[swapped] = pending.get(swapped, Fraction(0)) - coeff
+            pending[swapped] = pending.get(swapped, 0) - coeff
         elif a == z_rank:
             # z z -> -(x_1 d_1 + .. + x_n d_n) in B!; 0 in C!
             if kind is AlgebraKind.B_SHRIEK:
                 for i in range(n):
                     sub = ranks[:pos] + (i, n + i) + ranks[pos + 2 :]
-                    pending[sub] = pending.get(sub, Fraction(0)) - coeff
+                    pending[sub] = pending.get(sub, 0) - coeff
         # equal non-z generators: the term dies
     return out
 
@@ -217,7 +214,7 @@ def reduce_word(
     >>> str(reduce_word([Generator.z(), Generator.z()], 1))
     '-x1*d1'
     """
-    return reduce_expression(FreeExpression.from_terms(n, [(Fraction(1), word)]), kind, rng)
+    return reduce_expression(FreeExpression.from_terms(n, [(1, word)]), kind, rng)
 
 
 def reduce_expression(
@@ -303,9 +300,9 @@ def top_word(n: int) -> ShriekWord:
     return ShriekWord((1 << 2 * n) - 1, 1)
 
 
-def frobenius_functional(e: ShriekElement) -> Fraction:
+def frobenius_functional(e: ShriekElement) -> Rational:
     """Coefficient of the top word x_1..x_n d_1..d_n z."""
-    return e.coeffs.get(top_word(e.n), Fraction(0))
+    return e.coeffs.get(top_word(e.n), 0)
 
 
 def _partner(u: ShriekWord, n: int) -> tuple[ShriekWord, int]:
@@ -315,10 +312,10 @@ def _partner(u: ShriekWord, n: int) -> tuple[ShriekWord, int]:
     return partner, sign
 
 
-def bilinear_form(a: ShriekElement, b: ShriekElement) -> Fraction:
+def bilinear_form(a: ShriekElement, b: ShriekElement) -> Rational:
     """beta(a, b), the top coefficient of a*b: each word of a meets only its partner in b."""
     a._check_compatible(b)
-    total = Fraction(0)
+    total = 0
     for u, c in a.coeffs.items():
         partner, sign = _partner(u, a.n)
         if partner in b.coeffs:
@@ -326,16 +323,16 @@ def bilinear_form(a: ShriekElement, b: ShriekElement) -> Fraction:
     return total
 
 
-def gram_matrix(n: int, j: int) -> list[list[Fraction]]:
+def gram_matrix(n: int, j: int) -> list[list[Rational]]:
     """[beta(u_i, v_k)] over the degree-(j, 2n+1-j) basis pair: one signed entry per row."""
     if not 0 <= j <= 2 * n + 1:
         raise ValueError(f"degree {j} out of range 0..{2 * n + 1}")
     rows = shriek_basis_of_degree(n, j)
     cols = {v: k for k, v in enumerate(shriek_basis_of_degree(n, 2 * n + 1 - j))}
-    gram = [[Fraction(0)] * len(cols) for _ in rows]
+    gram = [[0] * len(cols) for _ in rows]
     for row, u in zip(gram, rows):
         partner, sign = _partner(u, n)
-        row[cols[partner]] = Fraction(sign)
+        row[cols[partner]] = sign
     return gram
 
 
@@ -355,7 +352,7 @@ class NakayamaMap:
         return self.images[str(g)]
 
     @property
-    def z_scalar(self) -> Fraction:
+    def z_scalar(self) -> Rational:
         """The k with sigma(z) = k z; raises if the image is not a z multiple."""
         img = self.images["z"]
         zword = _ranks_to_word([2 * self.n], self.n)

@@ -26,7 +26,7 @@ from typing import Callable
 from . import linalg
 from .errors import DefiningIdentityFailure, UnknownSuite, UnsupportedN
 from .expressions import parse, render
-from .generators import AlgebraKind, Generator, rank_generator
+from .generators import AlgebraKind, Generator, Rational, rank_generator
 from .pbw import (
     AlgebraElement,
     PBWMonomial,
@@ -177,7 +177,7 @@ def random_element(
     rng: random.Random, kind: AlgebraKind, n: int, max_partial: int = 3, nonzero: bool = False
 ) -> AlgebraElement:
     while True:
-        coeffs: dict[PBWMonomial, Fraction] = {}
+        coeffs: dict[PBWMonomial, Rational] = {}
         for _ in range(rng.randint(1 if nonzero else 0, _MAX_TERMS)):
             partial = rng.randint(0, max_partial)
             exps = [0] * (2 * n)
@@ -186,17 +186,17 @@ def random_element(
             ze = 0 if kind is AlgebraKind.A else rng.randint(0, _MAX_Z)
             m = PBWMonomial(ze, tuple(exps[:n]), tuple(exps[n:]))
             c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
-            coeffs[m] = coeffs.get(m, Fraction(0)) + c
+            coeffs[m] = coeffs.get(m, 0) + c
         e = AlgebraElement(kind, n, coeffs)
         if not nonzero or not e.is_zero():
             return e
 
 
 def random_homogeneous(rng: random.Random, kind: AlgebraKind, n: int, basis: list[PBWMonomial]) -> AlgebraElement:
-    coeffs: dict[PBWMonomial, Fraction] = {}
+    coeffs: dict[PBWMonomial, Rational] = {}
     for _ in range(rng.randint(1, _MAX_TERMS)):
         m = rng.choice(basis)
-        coeffs[m] = coeffs.get(m, Fraction(0)) + rng.choice([-2, -1, 1, 2])
+        coeffs[m] = coeffs.get(m, 0) + rng.choice([-2, -1, 1, 2])
     return AlgebraElement(kind, n, coeffs)
 
 
@@ -211,7 +211,7 @@ def random_shriek(rng: random.Random, n: int, words: list[ShriekWord]) -> Shriek
     coeffs: dict = {}
     for _ in range(rng.randint(0, _MAX_TERMS)):
         w = rng.choice(words)
-        coeffs[w] = coeffs.get(w, Fraction(0)) + rng.choice([-2, -1, 1, 2])
+        coeffs[w] = coeffs.get(w, 0) + rng.choice([-2, -1, 1, 2])
     return ShriekElement(n, coeffs)
 
 

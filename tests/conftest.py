@@ -1,21 +1,77 @@
 """Fixtures and oracle helpers shared by the test modules."""
 
+from fractions import Fraction
+
 import pytest
 
 from weylkit import linalg, pbw
 
 
+def gauss_jordan(rows, ncols):
+    """Fraction Gauss-Jordan on the first ``ncols`` columns: (nonzero rows, pivot columns, P).
+
+    The oracle for ``linalg``'s integer elimination: every entry becomes a
+    Fraction, each pivot row is divided by its pivot and the pivot column
+    cleared from every other row.  P is the product of the pivots as found,
+    negated once per row swap: the determinant when the input is square and
+    of full rank.
+    """
+    work = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    product = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == len(work):
+            break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            product = -product
+        p = work[r][c]
+        product *= p
+        work[r] = [v / p for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots, product
+
+
+def oracle_nullspace(rows, ncols):
+    """The right kernel basis read off ``gauss_jordan``, one vector per free column."""
+    reduced, pivots, _ = gauss_jordan(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for prow, pc in zip(reduced, pivots):
+            v[pc] = -prow[fc]
+        basis.append(v)
+    return basis
+
+
+def oracle_det(matrix):
+    """The determinant read off ``gauss_jordan``."""
+    m = len(matrix)
+    _, pivots, product = gauss_jordan(matrix, m)
+    return product if len(pivots) == m else Fraction(0)
+
+
 def solve(matrix, rhs):
     """The unique X with ``matrix`` X = ``rhs``, one column per right-hand side.
 
-    An oracle over ``linalg._eliminate``, run once on the augmented system:
+    An oracle over ``linalg.rref``, run once on the augmented system:
     ``matrix`` is square and ``rhs`` has as many rows; raises ValueError
     when the matrix is singular.
     """
     m = len(matrix)
     if any(len(row) != m for row in matrix) or len(rhs) != m:
         raise ValueError("matrix is not square or rhs has the wrong number of rows")
-    reduced, pivots, _ = linalg._eliminate([list(row) + list(b) for row, b in zip(matrix, rhs)], m)
+    reduced, pivots = linalg.rref([list(row) + list(b) for row, b in zip(matrix, rhs)], m)
     if len(pivots) != m:
         raise ValueError("singular matrix")
     return [row[m:] for row in reduced]
@@ -47,3 +103,23 @@ def rewrite_steps(monkeypatch):
 
     monkeypatch.setattr(pbw, "_redexes", counting)
     return words
+
+
+@pytest.fixture
+def fraction_constructions(monkeypatch):
+    """Records every Fraction built, through the constructor or, where arithmetic skips it, the fast path."""
+    built = []
+    inner = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    coprime = Fraction.__dict__.get("_from_coprime_ints")  # Python 3.12+ builds arithmetic results here
+    if coprime is not None:
+        inner_coprime = coprime.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, numerator, denominator: built.append((numerator, denominator))
+            or inner_coprime(cls, numerator, denominator)))
+    return built

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy
 
 from weylkit import (
     AlgebraElement,
@@ -16,6 +17,7 @@ from weylkit import (
     NotDivisible,
     PBWMonomial,
     ShriekElement,
+    ShriekWord,
     SizeMismatch,
     ZeroElement,
     basis_of_degree,
@@ -203,6 +205,37 @@ def test_a_scalar_multiplies_through_scaled_only(engine):
         with pytest.raises(TypeError):
             scalar * e
     assert e.scaled(2).coeffs == {key: 2 * c for key, c in e.coeffs.items()}
+
+
+def _x1_key_and_element(engine):
+    """The basis key of x1 at n = 1 in ``engine``, and its element constructor from a coefficient map."""
+    if engine == "pbw":
+        return PBWMonomial(0, (1,), (0,)), lambda coeffs: AlgebraElement(B, 1, coeffs)
+    return ShriekWord(1, 0), lambda coeffs: ShriekElement(1, coeffs)
+
+
+@pytest.mark.parametrize("engine", ["pbw", "shriek"])
+@pytest.mark.parametrize("inexact", [0.1, 0.5, "1/2"], ids=["float", "half", "str"])
+def test_an_inexact_coefficient_is_refused(engine, inexact):
+    key, element = _x1_key_and_element(engine)
+    with pytest.raises(TypeError):
+        element({key: inexact})
+    with pytest.raises(TypeError):
+        element({key: 1}).scaled(inexact)
+
+
+@pytest.mark.parametrize("engine", ["pbw", "shriek"])
+def test_a_coefficient_is_an_int_when_integral(engine):
+    # the one coefficient rule, generators.exact: int if integral, else a Fraction with denominator > 1
+    key, element = _x1_key_and_element(engine)
+    for given, want in ((Fraction(4, 2), 2), (True, 1), (sympy.Integer(-3), -3), (sympy.Rational(6, 4), Fraction(3, 2))):
+        e = element({key: given})
+        assert e.coeffs == {key: want}
+        assert type(e.coeffs[key]) is type(want)
+    half = element({key: Fraction(1, 2)})
+    assert type(half.scaled(2).coeffs[key]) is int
+    assert type((half + half).coeffs[key]) is int
+    assert type(half.scaled(Fraction(1, 3)).coeffs[key]) is Fraction
 
 
 def test_commutator_examples():
