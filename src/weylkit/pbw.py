@@ -387,15 +387,20 @@ def graded_degree(a: AlgebraElement) -> int:
 def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
     """All monomials of graded degree d, in canonical order.
 
-    For kinds B and C there are C(d+2n, 2n) of them; kind A omits z.
+    For kinds B and C there are C(d+2n, 2n) of them; kind A omits z.  Built in
+    order, with no sort: z exponent a ascending, then the rank words of length
+    d-a in lexicographic order, which is descending x- and d-exponents.
     """
     if kind.is_shriek:
         raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    letters = 2 * n if kind is AlgebraKind.A else 2 * n + 1  # kind A has no z, rank 2n
-    ranks = itertools.combinations_with_replacement(range(letters), d)
-    return sorted((_ranks_to_monomial(w, n) for w in ranks), key=lambda m: m.term_key(n))
+    zexps = (0,) if kind is AlgebraKind.A else range(d + 1)  # kind A has no z, rank 2n
+    return [
+        _ranks_to_monomial(w + (2 * n,) * a, n)
+        for a in zexps
+        for w in itertools.combinations_with_replacement(range(2 * n), d - a)
+    ]
 
 
 def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElement]:
@@ -403,27 +408,26 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
 
     One equation per generator g and degree-(d+1) monomial t: the
     t-coefficient of [a, g] vanishes, for a over the degree-d span.  z is
-    central, so only x_i and d_i give equations.  [m, g] for a basis monomial m = z^a x^P d^Q is read off
-    ``_mul_monomials``: it is q_i*c*z^a x^P d^(Q-e_i) for g = x_i and
-    -p_i*c*z^a x^(P-e_i) d^Q for g = d_i (c = z^2, 1 or 0 by kind).  No two
-    monomials reach one (g, t), so each equation has one unknown and the
-    solutions are spanned by the monomials whose commutators all vanish,
-    in basis order.  A (g, t) reached twice would void that argument, so
-    it raises RuntimeError.
+    central, so only x_i and d_i give equations.  [m, g] for a basis
+    monomial m = z^a x^P d^Q is one term, read off the exponents with no
+    product: q_i*c*z^a x^P d^(Q-e_i) for g = x_i and -p_i*c*z^a x^(P-e_i) d^Q
+    for g = d_i (c = z^2 for B, 1 for A; kind C has c = 0, so every
+    monomial is central).  No two monomials reach one (g, t), so each
+    equation has one unknown and the solutions are spanned by the monomials
+    whose commutators all vanish, in basis order.  A (g, t) reached twice
+    would void that argument, so it raises RuntimeError.
     """
-    gens = [_ranks_to_monomial((r,), n) for r in range(2 * n)]  # x_1..x_n, d_1..d_n
-    reached: set[tuple[PBWMonomial, PBWMonomial]] = set()
+    shift = 2 if kind is AlgebraKind.B else 0  # the z exponent that c adds
+    reached: set[tuple] = set()  # (rank of g, z-, x- and d-exponents of t)
     central = []
     for m in basis_of_degree(kind, n, d):
-        pairs = set()  # the (g, t) with t a term of [m, g]
-        for g in gens:
-            comm = dict(_mul_monomials(m, g, kind, n))  # its terms are distinct
-            for t, k in _mul_monomials(g, m, kind, n):
-                comm[t] = comm.get(t, 0) - k
-            pairs.update((g, t) for t, k in comm.items() if k)
-        for g, t in pairs & reached:
-            raise RuntimeError(f"two monomials of degree {d} reach {t} in [-, {g}]")
-        reached |= pairs
+        a, P, Q = m.zexp + shift, m.xexps, m.dexps
+        pairs = [] if kind is AlgebraKind.C else [
+            (i, a, P, Q[:i] + (Q[i] - 1,) + Q[i + 1 :]) for i in range(n) if Q[i]
+        ] + [(n + i, a, P[:i] + (P[i] - 1,) + P[i + 1 :], Q) for i in range(n) if P[i]]
+        for r, *t in sorted(reached.intersection(pairs)):
+            raise RuntimeError(f"two monomials of degree {d} reach {PBWMonomial(*t)} in [-, {_ranks_to_monomial((r,), n)}]")
+        reached.update(pairs)
         if not pairs:
             central.append(AlgebraElement.monomial(kind, n, m))
     return central

@@ -387,6 +387,26 @@ def _suite_center(rec: _Recorder, n: int, rng: random.Random, budget: int) -> No
 
     rec.check("center-spanned-by-z-power", "the degree-d center is spanned by z^d", center_span)
 
+    # the read-off makes no product; this claim checks it against the product
+    basis = functools.cache(functools.partial(basis_of_degree, AlgebraKind.B, n))
+    gens = [AlgebraElement.generator(AlgebraKind.B, n, rank_generator(r, n)) for r in range(2 * n + 1)]
+
+    def read_off_matches_commutators():
+        d = rng.randint(0, max_degree)
+        m = AlgebraElement.monomial(AlgebraKind.B, n, rng.choice(basis(d)))
+        listed = m in centralizer(d)
+        for g in gens:
+            if not (c := commutator(m, g)).is_zero():
+                return f"{m} is in the degree-{d} read-off, but [{m}, {g}] = {c}" if listed else None
+        return None if listed else f"{m} commutes with every generator but is not in the degree-{d} read-off"
+
+    rec.sample(
+        "center-read-off-commutes",
+        "a basis monomial is read off as central iff it commutes with every generator",
+        max(budget // 10, 10),
+        read_off_matches_commutators,
+    )
+
 
 def _suite_dual(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
     B, C = AlgebraKind.B, AlgebraKind.C

@@ -307,6 +307,14 @@ def test_basis_matches_enumeration_oracle(n, d):
     assert len(set(got)) == len(got)
 
 
+@pytest.mark.parametrize("kind", [A, B, C], ids=lambda k: k.value)
+def test_basis_is_built_in_canonical_order(kind):
+    for n in (1, 2, 3):
+        for d in range(6):
+            want = sorted(brute_force_monomials(kind, n, d), key=lambda m: m.term_key(n))
+            assert basis_of_degree(kind, n, d) == want, (n, d)
+
+
 def test_basis_examples():
     assert [str(m) for m in basis_of_degree(B, 1, 1)] == ["x1", "d1", "z"]
     assert [str(m) for m in basis_of_degree(B, 1, 0)] == ["1"]
@@ -469,16 +477,27 @@ def test_centralizer_runs_no_elimination(eliminations, kind):
     assert eliminations == []
 
 
-def test_centralizer_refuses_a_product_rule_where_two_monomials_meet(monkeypatch):
-    inner = pbw._mul_monomials
+def test_centralizer_refuses_a_basis_where_two_monomials_meet(monkeypatch):
+    inner = pbw.basis_of_degree
 
-    def forgetting_d(m1, m2, kind, n):  # [x1*d1, d1] = -z^2*d1 and [x1*d2, d1] = -z^2*d2 both become -z^2
-        for t, k in inner(m1, m2, kind, n):
-            yield PBWMonomial(t.zexp, t.xexps, (0,) * n), k
+    def listing_x1d1_twice(kind, n, d):  # both copies reach z^2*x1 in [-, x1] and z^2*d1 in [-, d1]
+        return inner(kind, n, d) + [PBWMonomial(0, (1, 0), (1, 0))]
 
-    monkeypatch.setattr(pbw, "_mul_monomials", forgetting_d)
-    with pytest.raises(RuntimeError, match=r"^two monomials of degree 2 reach z\^2 in \[-, d1\]$"):
+    monkeypatch.setattr(pbw, "basis_of_degree", listing_x1d1_twice)
+    with pytest.raises(RuntimeError, match=r"^two monomials of degree 2 reach z\^2\*x1 in \[-, x1\]$"):
         centralizer_in_degree(B, 2, 2)
+
+
+@pytest.mark.parametrize("kind", [A, B, C], ids=lambda k: k.value)
+def test_centralizer_multiplies_no_monomials(monkeypatch, kind):
+    # each [m, g] is read off the exponents; building it by products takes 462 * 6 * 2 = 5 544 calls for B
+    calls = []
+    inner = pbw._mul_monomials
+    monkeypatch.setattr(pbw, "_mul_monomials", lambda *args: calls.append(args) or inner(*args))
+    assert len(centralizer_in_degree(kind, 3, 5)) == {A: 0, B: 1, C: 462}[kind]
+    assert calls == []
+    list(pbw._mul_monomials(*basis_of_degree(B, 1, 1)[:2], B, 1))  # the wrapper counts
+    assert len(calls) == 1
 
 
 def test_centralizer_builds_no_element(monkeypatch):

@@ -68,8 +68,23 @@ def test_center_suite_crash_fails_each_check_that_hits_it(monkeypatch):
 
     monkeypatch.setattr(verify, "centralizer_in_degree", crash)
     report = run_suite("center", 1)
-    assert [c.status for c in report.checks] == ["fail", "fail"]
+    assert [c.status for c in report.checks] == ["fail", "fail", "fail"]
     assert all("solver down" in c.witness for c in report.checks)
+
+
+def test_center_suite_binds_the_read_off_to_the_product(monkeypatch):
+    from weylkit import verify
+
+    def everything(kind, n, d):  # every basis monomial, central or not
+        return [verify.AlgebraElement.monomial(kind, n, m) for m in basis_of_degree(kind, n, d)]
+
+    monkeypatch.setattr(verify, "centralizer_in_degree", everything)
+    report = run_suite("center", 2)
+    failed = {c.claim_id: c.witness for c in report.checks if not c.passed}
+    for n in (1, 2):
+        witness = failed[f"center-read-off-commutes[n={n}]"]
+        m = re.fullmatch(r"(\S+) is in the degree-\d read-off, but \[\1, \S+\] = .+", witness)
+        assert m and not re.fullmatch(r"1|z(\^\d)?", m[1]), witness  # names a non-central monomial
 
 
 def test_dual_suite_builds_each_presentation_once(monkeypatch):
@@ -150,7 +165,7 @@ EXPECTED_CLAIMS = {
         "basis-dimension",
         "filtration-zero-piece",
     },
-    "center": {"center-dimension", "center-spanned-by-z-power"},
+    "center": {"center-dimension", "center-spanned-by-z-power", "center-read-off-commutes"},
     "dual-orthogonality": {
         "relation-count",
         "complement-dimension",
