@@ -10,6 +10,7 @@ is the arithmetic both element engines (PBW and shriek) share.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -131,6 +132,17 @@ def quotient(a: int, b: int) -> Rational:
     return Fraction(a, b) if r else q
 
 
+def _cleared(items):
+    """(``items`` with every coefficient times D, D): D the lcm of the denominators.
+
+    D is 1, and ``items`` comes back as given, when every coefficient is an int.
+    """
+    den = math.lcm(*(c.denominator for _, c in items if type(c) is not int))
+    if den == 1:
+        return items, 1
+    return [(key, c.numerator * (den // c.denominator)) for key, c in items], den
+
+
 @dataclass(frozen=True)
 class FreeExpression:
     """A raw sum of coefficient-word terms in the free algebra.
@@ -188,7 +200,9 @@ class SparseElement:
     monomials) and :class:`weylkit.shriek.ShriekElement` (keys are
     square-free words).  Each coefficient is stored by ``exact``: an int
     when integral, else a Fraction, so integral products multiply ints,
-    and a float or a str coefficient raises TypeError.  Construction
+    and a float or a str coefficient raises TypeError.  Rational factors
+    are multiplied on cleared denominators (see ``_bilinear``), so the
+    term-pair loop multiplies ints there too.  Construction
     drops zero coefficients, so the arithmetic below may leave zeros in
     the dicts it builds.  A subclass
     supplies ``_check_keys``, ``_times`` (its module's ``multiply``) and
@@ -291,16 +305,26 @@ class SparseElement:
         """Bilinear extension of ``basis_product(u, v, kind, n)``.
 
         ``basis_product`` returns the (key, coefficient) terms of the
-        product of two basis keys.
+        product of two basis keys.  When both factors have two terms or
+        more, each is multiplied by the lcm of its denominators, the loop
+        adds ints only, and each output coefficient is divided back once
+        by ``quotient``.  A one-term factor would save no Fraction product,
+        so then the factors are taken as they are.
         """
         self._check_compatible(other)
         kind, n = self.kind, self.n
+        left, right, den = self.coeffs.items(), other.coeffs.items(), 1
+        if len(left) > 1 and len(right) > 1:
+            (left, den_left), (right, den_right) = _cleared(left), _cleared(right)
+            den = den_left * den_right
         out = {}
-        for u, cu in self.coeffs.items():
-            for v, cv in other.coeffs.items():
+        for u, cu in left:
+            for v, cv in right:
                 c = cu * cv
                 for w, k in basis_product(u, v, kind, n):
                     out[w] = out.get(w, 0) + c * k
+        if den != 1:
+            out = {w: quotient(c, den) for w, c in out.items()}
         return self._like(out)
 
     def __str__(self) -> str:

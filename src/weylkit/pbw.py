@@ -40,10 +40,9 @@ import heapq
 import itertools
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import comb, factorial
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     IllegalGenerator,
@@ -55,9 +54,12 @@ from .errors import (
 from .generators import AlgebraKind, FreeExpression, Generator, Rational, SparseElement
 
 
-@dataclass(frozen=True)
-class PBWMonomial:
-    """One basis monomial z^zexp x^xexps d^dexps."""
+class PBWMonomial(NamedTuple):
+    """One basis monomial z^zexp x^xexps d^dexps.
+
+    A named tuple: it equals, and hashes as, the plain tuple
+    ``(zexp, xexps, dexps)``, so dict lookups in the product loop hash in C.
+    """
 
     zexp: int
     xexps: tuple[int, ...]
@@ -288,27 +290,30 @@ def word_normal_form(
 
 def _mul_monomials(m1: PBWMonomial, m2: PBWMonomial, kind: AlgebraKind, n: int):
     """Yield the (monomial, coefficient) terms of m1*m2 by the exchange identity,
-    least partial degree first: each k_i runs from min(q_i, p_i) down to 0."""
-    q1 = m1.dexps
-    p2 = m2.xexps
+    least partial degree first: each k_i runs from min(q_i, p_i) down to 0.
+
+    Lazy on purpose: ``least_partial_part`` draws only the first term, so no
+    term and no exchange factor past it is computed.
+    """
+    z1, p1, q1 = m1
+    z2, p2, q2 = m2
     # kind C commutes everything, so no d_i x_i pair needs an exchange
     cross = [] if kind is AlgebraKind.C else [i for i in range(n) if q1[i] and p2[i]]
-    base_z = m1.zexp + m2.zexp
+    base_z = z1 + z2
+    xs = tuple(map(add, p1, p2))
+    ds = tuple(map(add, q1, q2))
     if not cross:
-        yield PBWMonomial(base_z, tuple(map(add, m1.xexps, p2)), tuple(map(add, q1, m2.dexps))), 1
+        yield tuple.__new__(PBWMonomial, (base_z, xs, ds)), 1
         return
+    z_step = 2 if kind is AlgebraKind.B else 0
     for ks in itertools.product(*(range(min(q1[i], p2[i]), -1, -1) for i in cross)):
         coeff = 1
-        kvec = [0] * n
+        x, d = list(xs), list(ds)
         for i, k in zip(cross, ks):
             coeff *= comb(q1[i], k) * comb(p2[i], k) * factorial(k)
-            kvec[i] = k
-        ktot = sum(ks)
-        yield PBWMonomial(
-            base_z + (2 * ktot if kind is AlgebraKind.B else 0),
-            tuple(m1.xexps[i] + p2[i] - kvec[i] for i in range(n)),
-            tuple(q1[i] - kvec[i] + m2.dexps[i] for i in range(n)),
-        ), coeff
+            x[i] -= k
+            d[i] -= k
+        yield tuple.__new__(PBWMonomial, (base_z + z_step * sum(ks), tuple(x), tuple(d))), coeff
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -415,12 +420,15 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
     monomial is central).  No two monomials reach one (g, t), so each
     equation has one unknown and the solutions are spanned by the monomials
     whose commutators all vanish, in basis order.  A (g, t) reached twice
-    would void that argument, so it raises RuntimeError.
+    would void that argument, so it raises RuntimeError.  The central
+    monomials are valid by construction, so their elements skip the key check.
     """
+    basis = basis_of_degree(kind, n, d)
+    like = AlgebraElement.one(kind, n)._like
     shift = 2 if kind is AlgebraKind.B else 0  # the z exponent that c adds
     reached: set[tuple] = set()  # (rank of g, z-, x- and d-exponents of t)
     central = []
-    for m in basis_of_degree(kind, n, d):
+    for m in basis:
         a, P, Q = m.zexp + shift, m.xexps, m.dexps
         pairs = [] if kind is AlgebraKind.C else [
             (i, a, P, Q[:i] + (Q[i] - 1,) + Q[i + 1 :]) for i in range(n) if Q[i]
@@ -429,7 +437,7 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
             raise RuntimeError(f"two monomials of degree {d} reach {PBWMonomial(*t)} in [-, {_ranks_to_monomial((r,), n)}]")
         reached.update(pairs)
         if not pairs:
-            central.append(AlgebraElement.monomial(kind, n, m))
+            central.append(like({m: 1}))
     return central
 
 

@@ -1,10 +1,13 @@
 """Fixtures and oracle helpers shared by the test modules."""
 
+import itertools
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from weylkit import linalg, pbw
+from weylkit import AlgebraKind, linalg, pbw
+from weylkit.pbw import PBWMonomial
 
 
 def gauss_jordan(rows, ncols):
@@ -75,6 +78,41 @@ def solve(matrix, rhs):
     if len(pivots) != m:
         raise ValueError("singular matrix")
     return [row[m:] for row in reduced]
+
+
+def oracle_bilinear(a, b, basis_product):
+    """``a * b`` by the per-pair loop: each term pair multiplies the stored coefficients.
+
+    The oracle for ``SparseElement._bilinear``, which clears denominators
+    first: the two give equal maps, in one key order, with equal
+    coefficient types.
+    """
+    out = {}
+    for u, cu in a.coeffs.items():
+        for v, cv in b.coeffs.items():
+            c = cu * cv
+            for w, k in basis_product(u, v, a.kind, a.n):
+                out[w] = out.get(w, 0) + c * k
+    return a._like(out)
+
+
+def oracle_mul_monomials(m1, m2, kind, n):
+    """The terms of m1*m2 with an explicit exchange vector per term: the oracle for ``pbw._mul_monomials``."""
+    q1 = m1.dexps
+    p2 = m2.xexps
+    cross = [] if kind is AlgebraKind.C else [i for i in range(n) if q1[i] and p2[i]]
+    base_z = m1.zexp + m2.zexp
+    for ks in itertools.product(*(range(min(q1[i], p2[i]), -1, -1) for i in cross)):
+        coeff = 1
+        kvec = [0] * n
+        for i, k in zip(cross, ks):
+            coeff *= comb(q1[i], k) * comb(p2[i], k) * factorial(k)
+            kvec[i] = k
+        yield PBWMonomial(
+            base_z + (2 * sum(ks) if kind is AlgebraKind.B else 0),
+            tuple(m1.xexps[i] + p2[i] - kvec[i] for i in range(n)),
+            tuple(q1[i] - kvec[i] + m2.dexps[i] for i in range(n)),
+        ), coeff
 
 
 @pytest.fixture

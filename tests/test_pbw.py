@@ -500,6 +500,18 @@ def test_centralizer_multiplies_no_monomials(monkeypatch, kind):
     assert len(calls) == 1
 
 
+def test_centralizer_checks_no_basis_monomial(monkeypatch):
+    # the basis is valid by construction; wrapping each of the 84 central monomials checked each
+    checked = []
+    inner = AlgebraElement._check_keys
+    monkeypatch.setattr(AlgebraElement, "_check_keys", lambda self, keys: checked.extend(keys) or inner(self, keys))
+    assert len(centralizer_in_degree(C, 3, 3)) == 84
+    assert len(checked) <= 1  # the unit, whose element lends the unchecked constructor
+    before = len(checked)
+    AlgebraElement.monomial(C, 3, basis_of_degree(C, 3, 3)[0])  # the wrapper counts
+    assert len(checked) == before + 1
+
+
 def test_centralizer_builds_no_element(monkeypatch):
     calls = []
     for name in ("multiply", "commutator"):
