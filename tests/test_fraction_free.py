@@ -84,8 +84,10 @@ _CANCELLING = [  # the x1*d1 terms cancel in B and A, the mixed terms in C; the 
 def test_product_equals_the_per_pair_fraction_loop(kind):
     rng = random.Random(f"cleared-product:{kind.value}")
     product, basis_product = (shriek.multiply, shriek._word_product) if kind.is_shriek else (pbw.multiply, oracle_mul_monomials)
-    pairs = [(rng.randint(1, 3),) * 2 for _ in range(150)]
-    pairs = [(_random_factor(rng, kind, n), _random_factor(rng, kind, m)) for n, m in pairs]
+    pairs = []
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        pairs.append((_random_factor(rng, kind, n), _random_factor(rng, kind, n)))
     pairs += [(evaluate(a, n, k), evaluate(b, n, k)) for k, n, a, b in _CANCELLING if k is kind]
     for a, b in pairs:
         _assert_same_map(product(a, b), oracle_bilinear(a, b, basis_product))
@@ -117,8 +119,8 @@ def test_rational_product_builds_a_fraction_only_per_output_term(fraction_constr
 
 
 def test_least_partial_part_draws_one_term_per_term_pair(monkeypatch):
-    # the full product builds 21 * 31 terms from the first pair alone; a table of its
-    # exchange factors would take two binomials per term, not per exchanged index
+    # the full product builds 21 * 31 terms from the first pair alone; the first term
+    # takes two binomials per exchanged index, a table of exchange factors two per k
     a = evaluate("d1^40*d2^30 + 2*d1^5", 2, B)
     b = evaluate("x1^50*x2^20 + x1^3 + x2", 2, B)
     drawn, binomials = [], []
