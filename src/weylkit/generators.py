@@ -160,12 +160,26 @@ class FreeExpression:
         return FreeExpression(n, tuple((exact(c), tuple(w)) for c, w in terms))
 
     def rank_terms(self, kind: AlgebraKind) -> dict[tuple[int, ...], Rational]:
-        """The summed coefficient of each rank word, every generator checked against ``kind``."""
+        """The summed coefficient of each rank word, every generator checked against ``kind``.
+
+        Each generator object is checked and ranked once per call, when a
+        word first holds it; a parsed expansion repeats a few objects many
+        times.  The ranks are keyed by ``id``, which stays valid because the
+        expression holds every generator for the whole call (a
+        ``Generator``'s own hash runs in Python and costs more).
+        """
+        n = self.n
+        rank: dict[int, int] = {}
         terms: dict[tuple[int, ...], Rational] = {}
         for c, word in self.terms:
-            for g in word:
-                g.check(self.n, kind)
-            ranks = tuple(g.rank(self.n) for g in word)
+            try:
+                ranks = tuple([rank[id(g)] for g in word])
+            except KeyError:  # the word holds a generator object not met before
+                for g in word:
+                    if id(g) not in rank:
+                        g.check(n, kind)
+                        rank[id(g)] = g.rank(n)
+                ranks = tuple([rank[id(g)] for g in word])
             terms[ranks] = terms.get(ranks, 0) + c
         return terms
 

@@ -125,7 +125,7 @@ def kernel_witness(b: AlgebraElement) -> AlgebraElement | None:
         for t in range(m.zexp):
             target = PBWMonomial(t, m.xexps, m.dexps)
             out[target] = out.get(target, 0) + c
-    return AlgebraElement(AlgebraKind.B, b.n, out)
+    return b._like(out)  # b is of kind B, and the targets are its keys with a lower z power
 
 
 def homogenize(a: AlgebraElement) -> tuple[AlgebraElement, int]:

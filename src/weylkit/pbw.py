@@ -449,30 +449,34 @@ def z_divides(a: AlgebraElement) -> bool:
 
 
 def divide_by_z(a: AlgebraElement, k: int = 1) -> AlgebraElement:
-    """a / z^k (k >= 0), for an ``a`` whose every term carries z^k."""
+    """a / z^k (k >= 0), for an ``a`` whose every term carries z^k.
+
+    The result keeps a's kind and n and its keys are shifted copies of a's,
+    so it is built by ``_like``; a ``k`` that is not an int raises TypeError.
+    """
+    if not isinstance(k, int):
+        raise TypeError(f"divide_by_z needs an int k, got {k!r}")
     if k < 0:
         raise ValueError("divide_by_z needs k >= 0")
     if any(m.zexp < k for m in a.coeffs):
         raise NotDivisible(f"element has a term with no z^{k} factor")
     if k == 0:
         return a
-    return AlgebraElement(
-        a.kind,
-        a.n,
-        {PBWMonomial(m.zexp - k, m.xexps, m.dexps): c for m, c in a.coeffs.items()},
-    )
+    return a._like({PBWMonomial(m.zexp - k, m.xexps, m.dexps): c for m, c in a.coeffs.items()})
 
 
 def z_shift(a: AlgebraElement, k: int) -> AlgebraElement:
-    """Multiply by z^k (k >= 0); cheap because z is central."""
+    """Multiply by z^k (k >= 0); cheap because z is central.
+
+    Built by ``_like``, as ``divide_by_z`` is; a ``k`` that is not an int
+    raises TypeError.
+    """
+    if not isinstance(k, int):
+        raise TypeError(f"z_shift needs an int k, got {k!r}")
     if k < 0:
         raise ValueError("z_shift needs k >= 0")
     if not a.kind.has_z:
         raise IllegalGenerator("no z in this algebra")
     if k == 0:
         return a
-    return AlgebraElement(
-        a.kind,
-        a.n,
-        {PBWMonomial(m.zexp + k, m.xexps, m.dexps): c for m, c in a.coeffs.items()},
-    )
+    return a._like({PBWMonomial(m.zexp + k, m.xexps, m.dexps): c for m, c in a.coeffs.items()})

@@ -41,7 +41,7 @@ off the same pairing; the tests keep the Gram solve as its oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -284,14 +284,12 @@ def decompose(e: ShriekElement) -> tuple[ShriekElement, ShriekElement]:
     """Split into (z-free part, z part); the two parts sum back to ``e``.
 
     The z-free words form a subalgebra (exterior algebra on x's and d's)
-    and the z words are its image under left multiplication by z.
+    and the z words are its image under left multiplication by z.  Both
+    parts are built by ``_like``: their words are e's, already checked.
     """
     cpart = {w: c for w, c in e.coeffs.items() if w.zflag == 0}
     zpart = {w: c for w, c in e.coeffs.items() if w.zflag == 1}
-    return (
-        ShriekElement(e.n, cpart, e.kind),
-        ShriekElement(e.n, zpart, e.kind),
-    )
+    return e._like(cpart), e._like(zpart)
 
 
 # -- Frobenius structure ---------------------------------------------------------
@@ -338,15 +336,31 @@ def gram_matrix(n: int, j: int) -> list[list[Rational]]:
 
 @dataclass(frozen=True)
 class NakayamaMap:
-    """Images of the degree-1 generators under the Nakayama automorphism."""
+    """Images of the degree-1 generators under the Nakayama automorphism.
+
+    ``images`` names one image per generator of n, each of pair count n and
+    homogeneous of degree 1 (or zero); construction refuses a missing or
+    extra name with ValueError and a wrong n with SizeMismatch.  It also
+    keeps each image's (word, coefficient) pairs in a table indexed by rank,
+    which ``apply_automorphism`` reads; equality and ``repr`` ignore it.
+    """
 
     n: int
     images: dict[str, ShriekElement]
+    _by_rank: tuple[tuple[tuple[ShriekWord, Rational], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        names = [str(rank_generator(r, self.n)) for r in range(2 * self.n + 1)]
+        missing = [name for name in names if name not in self.images]
+        extra = [name for name in self.images if name not in names]
+        if missing or extra:
+            raise ValueError(f"images must name each generator of n={self.n}: missing {missing}, extra {extra}")
         for name, img in self.images.items():
+            if img.n != self.n:
+                raise SizeMismatch(f"image of {name} has n={img.n}, map is for n={self.n}")
             if img.degrees() not in (set(), {1}):
                 raise ValueError(f"image of {name} is not homogeneous of degree 1")
+        object.__setattr__(self, "_by_rank", tuple(tuple(self.images[name].coeffs.items()) for name in names))
 
     def image_of(self, g: Generator) -> ShriekElement:
         return self.images[str(g)]
@@ -379,19 +393,30 @@ def nakayama(n: int) -> NakayamaMap:
 
 
 def apply_automorphism(m: NakayamaMap, e: ShriekElement) -> ShriekElement:
-    """Multiplicative-linear extension of the generator images."""
+    """Multiplicative-linear extension of the generator images.
+
+    Each word c*w is folded on coefficient maps: starting from {1: c}, the
+    map is multiplied by the image of each letter of w in turn, term by
+    term through ``_word_product`` in e's kind (an image of the other kind
+    is read in e's).  Every word's image is summed into one map, and one
+    element is built at the end.
+    """
     if m.n != e.n:
         raise SizeMismatch(f"map is for n={m.n}, element has n={e.n}")
-    out = ShriekElement(e.n, {}, e.kind)
+    n, kind, images = e.n, e.kind, m._by_rank
+    out: dict[ShriekWord, Rational] = {}
     for w, c in e.coeffs.items():
-        img = ShriekElement.one(e.n, e.kind)
-        for r in w.ranks(e.n):
-            factor = m.images[str(rank_generator(r, e.n))]
-            if factor.kind is not e.kind:
-                factor = ShriekElement(factor.n, factor.coeffs, e.kind)
-            img = multiply(img, factor)
-        out = out + img.scaled(c)
-    return out
+        img = {ShriekWord(0, 0): c}
+        for r in w.ranks(n):
+            folded: dict[ShriekWord, Rational] = {}
+            for u, cu in img.items():
+                for v, cv in images[r]:
+                    for x, k in _word_product(u, v, kind, n):
+                        folded[x] = folded.get(x, 0) + cu * cv * k
+            img = folded
+        for x, cx in img.items():
+            out[x] = out.get(x, 0) + cx
+    return e._like(out)
 
 
 def defining_identity_failure(nm: NakayamaMap) -> tuple[ShriekElement, ShriekElement] | None:

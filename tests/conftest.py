@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from weylkit import AlgebraKind, linalg, pbw
+from weylkit import AlgebraKind, SizeMismatch, linalg, pbw, shriek
 from weylkit.pbw import PBWMonomial
 
 
@@ -94,6 +94,27 @@ def oracle_bilinear(a, b, basis_product):
             for w, k in basis_product(u, v, a.kind, a.n):
                 out[w] = out.get(w, 0) + c * k
     return a._like(out)
+
+
+def oracle_apply_automorphism(m, e):
+    """sigma(e) element by element: per word, one ``multiply`` per letter, then ``scaled`` and ``+``.
+
+    The oracle for ``shriek.apply_automorphism``, which folds coefficient
+    maps instead: it looks each image up by the letter's name and reads an
+    image of the other kind in e's kind.
+    """
+    if m.n != e.n:
+        raise SizeMismatch(f"map is for n={m.n}, element has n={e.n}")
+    out = shriek.ShriekElement(e.n, {}, e.kind)
+    for w, c in e.coeffs.items():
+        img = shriek.ShriekElement.one(e.n, e.kind)
+        for r in w.ranks(e.n):
+            factor = m.images[str(shriek.rank_generator(r, e.n))]
+            if factor.kind is not e.kind:
+                factor = shriek.ShriekElement(factor.n, factor.coeffs, e.kind)
+            img = shriek.multiply(img, factor)
+        out = out + img.scaled(c)
+    return out
 
 
 def oracle_mul_monomials(m1, m2, kind, n):

@@ -138,6 +138,32 @@ def test_index_out_of_range():
         parse("x0", 2, B)
 
 
+@pytest.mark.parametrize("kind", [AlgebraKind.B_SHRIEK, B], ids=["B!", "B"])
+def test_rank_terms_checks_each_generator_object_once(kind, monkeypatch):
+    expr = parse("(x1+d1+z)^6", 1, kind)
+    want = {}
+    for c, word in expr.terms:
+        ranks = tuple(g.rank(1) for g in word)
+        want[ranks] = want.get(ranks, 0) + c
+    checked = []
+    inner = Generator.check
+    monkeypatch.setattr(Generator, "check", lambda g, n, k: checked.append(g) or inner(g, n, k))
+    got = expr.rank_terms(kind)
+    assert sum(len(word) for _, word in expr.terms) == 4374  # 729 words of 6 letters, each checked by a per-letter loop
+    assert len(checked) == 3  # x1, d1 and z, one object each
+    assert got == want and list(got) == list(want)
+
+
+def test_rank_terms_refuses_a_bad_letter_by_name():
+    x2 = Generator.x(2)
+    with pytest.raises(IndexOutOfRange) as exc:
+        FreeExpression.from_terms(1, [(1, [x1, d1]), (2, [d1, x2, z])]).rank_terms(B)
+    assert str(exc.value) == "generator x2 has index 2 > n = 1"
+    with pytest.raises(IllegalGenerator) as exc:
+        FreeExpression.from_terms(1, [(1, [x1]), (1, [x1, z])]).rank_terms(A)
+    assert str(exc.value) == "z is not a generator of the algebra A"
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ParseError):
         parse("1/0", 1, B)

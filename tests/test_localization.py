@@ -158,6 +158,16 @@ def test_kernel_characterization_random():
         assert dehomogenize(a).is_zero() == (kernel_witness(a) is not None)
 
 
+def test_kernel_witness_checks_no_key_of_its_own(monkeypatch):
+    b = bel("z^3*x1*d1 - x1*d1 + 2*z^2*d1 - 2*z*d1")
+    checked = []
+    inner = AlgebraElement._check_keys
+    monkeypatch.setattr(AlgebraElement, "_check_keys", lambda self, keys: checked.append(self.kind) or inner(self, keys))
+    w = kernel_witness(b)
+    assert checked == [A]  # dehomogenize's kind-A result; the kind-B witness is built from b's keys
+    assert w == bel("z^2*x1*d1 + z*x1*d1 + x1*d1 + 2*z*d1")
+
+
 # -- homogenize ------------------------------------------------------------------
 
 def test_homogenize_examples():

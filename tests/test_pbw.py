@@ -547,3 +547,28 @@ def test_z_powers_refuse_a_negative_k():
     for shift in (divide_by_z, z_shift):
         with pytest.raises(ValueError):
             shift(nf("x1", 1, B), -1)
+
+
+def test_z_powers_refuse_a_k_that_is_not_an_int(monkeypatch):
+    e, weyl = nf("z^2*x1", 1, B), nf("x1", 1, AlgebraKind.A)
+    checked = []
+    inner = AlgebraElement._check_keys
+    monkeypatch.setattr(AlgebraElement, "_check_keys", lambda self, keys: checked.append(keys) or inner(self, keys))
+    for shift in (divide_by_z, z_shift):
+        for k in (1.0, Fraction(1), "1", None):
+            with pytest.raises(TypeError, match="needs an int k"):
+                shift(e, k)
+        with pytest.raises(TypeError):
+            shift(weyl, 0.5)  # refused before the kind is looked at
+    assert checked == []
+
+
+def test_z_powers_check_no_key(monkeypatch):
+    e = nf("z^2*x1*d1 + 3*z*d1^2", 2, B)
+    checked = []
+    inner = AlgebraElement._check_keys
+    monkeypatch.setattr(AlgebraElement, "_check_keys", lambda self, keys: checked.append(keys) or inner(self, keys))
+    up = z_shift(e, 3)
+    assert divide_by_z(up, 3) == e and divide_by_z(up) == z_shift(e, 2)
+    assert checked == []
+    assert up.coeffs == {PBWMonomial(m.zexp + 3, m.xexps, m.dexps): c for m, c in e.coeffs.items()}

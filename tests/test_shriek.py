@@ -29,7 +29,7 @@ from weylkit.shriek import NakayamaMap, ShriekWord, defining_identity_failure, m
 from weylkit import linalg, shriek
 from weylkit.verify import random_shriek
 
-from conftest import solve
+from conftest import oracle_apply_automorphism, solve
 
 x1, x2 = Generator.x(1), Generator.x(2)
 d1, d2 = Generator.d(1), Generator.d(2)
@@ -539,6 +539,68 @@ def test_apply_size_mismatch():
     nm = nakayama(1)
     with pytest.raises(SizeMismatch):
         apply_automorphism(nm, ShriekElement.one(2))
+
+
+def _fold_test_maps(n):
+    """nakayama(n), the three wrong maps, and non-diagonal ones: x1 -> x1 + d1, z -> z + x1/2, and the first read from C!."""
+    nm = nakayama(n)
+    images = nm.images
+    skew = NakayamaMap(n, dict(images, x1=images["x1"] + images["d1"]))
+    return [
+        nm,
+        *_wrong_maps(nm),
+        skew,
+        NakayamaMap(n, dict(images, z=images["z"] + images["x1"].scaled(Fraction(1, 2)))),
+        NakayamaMap(n, {name: ShriekElement(n, img.coeffs, AlgebraKind.C_SHRIEK) for name, img in skew.images.items()}),
+    ]
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK], ids=["B!", "C!"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_automorphism_equals_the_element_by_element_oracle(n, kind):
+    rng = random.Random(f"fold:{n}:{kind.value}")
+    words = shriek_basis(n)
+    elements = [ShriekElement(n, {}, kind)] + [ShriekElement.word(n, w, 1, kind) for w in words]
+    for den in (1, 2, 3):
+        for _ in range(12):
+            terms = rng.sample(words, rng.randint(1, min(8, len(words))))
+            elements.append(ShriekElement(n, {w: Fraction(rng.randint(-5, 5), den) for w in terms}, kind))
+    for m in _fold_test_maps(n):
+        for e in elements:
+            got, want = apply_automorphism(m, e), oracle_apply_automorphism(m, e)
+            assert got == want
+            assert {w: type(c) for w, c in got.coeffs.items()} == {w: type(c) for w, c in want.coeffs.items()}
+
+
+def test_apply_automorphism_multiplies_no_element_and_names_no_generator(monkeypatch):
+    nm = nakayama(3)  # the map indexes its images by rank here
+    skew = _fold_test_maps(3)[4]
+    calls = []
+    for name in ("multiply", "rank_generator"):
+        inner = getattr(shriek, name)
+        monkeypatch.setattr(shriek, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
+    rng = random.Random(11)
+    e = ShriekElement(3, {w: rng.randint(1, 3) for w in rng.sample(shriek_basis(3), 16)})
+    assert apply_automorphism(nm, e) == e
+    apply_automorphism(skew, e)
+    assert calls == []
+    oracle_apply_automorphism(nm, ShriekElement.word(3, top_word(3)))  # the wrappers count
+    assert calls.count("multiply") == 7 and calls.count("rank_generator") == 7
+
+
+def test_nakayama_map_refuses_a_missing_or_extra_name():
+    images = nakayama(2).images
+    missing = {name: img for name, img in images.items() if name != "d2"}
+    with pytest.raises(ValueError, match=r"missing \['d2'\], extra \[\]"):
+        NakayamaMap(2, missing)
+    with pytest.raises(ValueError, match=r"missing \[\], extra \['x3'\]"):
+        NakayamaMap(2, dict(images, x3=images["x1"]))
+
+
+def test_nakayama_map_refuses_an_image_of_another_n():
+    images = nakayama(1).images
+    with pytest.raises(SizeMismatch, match="image of x1 has n=2"):
+        NakayamaMap(1, dict(images, x1=ShriekElement.generator(2, x1)))
 
 
 def test_rank_generator_roundtrip():
