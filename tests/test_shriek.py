@@ -574,7 +574,7 @@ def test_apply_automorphism_equals_the_element_by_element_oracle(n, kind):
 
 def test_apply_automorphism_multiplies_no_element_and_names_no_generator(monkeypatch):
     nm = nakayama(3)  # the map indexes its images by rank here
-    skew = _fold_test_maps(3)[4]
+    skew = NakayamaMap(3, dict(nm.images, x1=nm.images["x1"] + nm.images["d1"]))
     calls = []
     for name in ("multiply", "rank_generator"):
         inner = getattr(shriek, name)
