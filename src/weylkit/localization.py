@@ -64,7 +64,12 @@ class LocalizedElement:
 
 
 def make(b: AlgebraElement, k: int = 0) -> LocalizedElement:
-    """Canonical fraction b/z^k: strips common z factors, sends 0 to 0/z^0."""
+    """Canonical fraction b/z^k: strips common z factors, sends 0 to 0/z^0.
+
+    A ``k`` that is not an int raises TypeError, as in ``z_shift``.
+    """
+    if not isinstance(k, int):
+        raise TypeError(f"make needs an int k, got {k!r}")
     if b.kind is not AlgebraKind.B:
         raise KindMismatch(f"localization lives over kind B, got {b.kind.value}")
     if k < 0:

@@ -21,17 +21,17 @@ are checked against each other in the test suite.
 Rewriting rules (applied to adjacent generator pairs):
 
     d_j x_i -> x_i d_j            (i != j)
-    d_i x_i -> x_i d_i + z^2      (kind B;  + 1 for kind A)
+    d_i x_i -> x_i d_i + z^2      (kind B, z^2 written last;  + 1 for kind A)
     x_j x_i -> x_i x_j            (j > i)
     d_j d_i -> d_i d_j            (j > i)
     z g     -> g z                (every generator g)
 
-Kind C sorts all pairs commutatively.  Pending words are rewritten in
-decreasing order of the termination measure, so like words merge before
-they are reduced and each distinct word is reduced once.  Each word's
-redexes are listed, as ``shriek`` lists them, and the leftmost is
-rewritten; passing an ``rng`` picks one at random, which the confluence
-tests exercise.
+Kind C sorts all pairs commutatively.  Every step lowers the word's
+inversion count, and pending words are rewritten in decreasing order of
+it, so like words merge before they are reduced and each distinct word
+is reduced once.  Each word's redexes are listed, as ``shriek`` lists
+them, and the leftmost is rewritten; passing an ``rng`` picks one at
+random, which the confluence tests exercise.
 """
 
 from __future__ import annotations
@@ -185,19 +185,15 @@ def _ranks_to_monomial(ranks: tuple[int, ...], n: int) -> PBWMonomial:
     return PBWMonomial(ze, tuple(xe), tuple(de))
 
 
-def _measure(ranks: tuple[int, ...], n: int) -> tuple[int, int]:
-    """The termination measure (d-before-x inversions, other inversions)."""
+def _inversions(ranks: tuple[int, ...]) -> int:
+    """The inversion count: pairs of letters whose ranks stand in decreasing order."""
     seen: list[int] = []  # the ranks read so far, sorted
-    ds = dx = inversions = 0
+    inversions = 0
     for r in ranks:
         k = bisect_right(seen, r)  # seen ranks <= r; each larger one is an inversion
         inversions += len(seen) - k
         seen.insert(k, r)
-        if r < n:
-            dx += ds
-        elif r < 2 * n:
-            ds += 1
-    return dx, inversions - dx
+    return inversions
 
 
 def _reduce_rank_words(
@@ -210,35 +206,32 @@ def _reduce_rank_words(
 
     The map may hold zero coefficients; the element constructor drops them.
 
-    Terminates for any redex order: each step strictly decreases the pair
-    (d-before-x inversions, other inversions) of every produced word, in
-    lexicographic order.  A swap lowers one component by one: the first
-    for a d_j x_i pair, the second for any other pair.  The correction
-    word of d_i x_i drops a d before an x, so its first component falls;
-    its measure is recounted.
+    Terminates for any redex order, because every produced word has a
+    smaller inversion count: a swap lowers it by one, and the correction of
+    d_i x_i drops the pair, with its inversions, and writes z, the largest
+    rank, last, where it makes none (kind A writes nothing).
 
-    Pending words are popped largest measure first.  Every word that can
-    feed a word w has a larger measure, so w is popped only after all its
+    Pending words are popped largest count first.  Every word that can feed
+    a word w has a larger count, so w is popped only after all its
     contributions have merged into it, and each distinct word is reduced
     exactly once.
     """
     out: dict[PBWMonomial, Rational] = {}
     pending: dict[tuple[int, ...], Rational] = {}
-    heap: list[tuple[int, int, tuple[int, ...]]] = []  # (-dx, -other, word): a min-heap
+    heap: list[tuple[int, tuple[int, ...]]] = []  # (-inversions, word): a min-heap
     z_squared = (2 * n, 2 * n) if kind is AlgebraKind.B else ()
 
-    def add(ranks, coeff, dx, other):
+    def add(ranks, coeff, inversions):
         if ranks in pending:
             pending[ranks] += coeff
         else:
             pending[ranks] = coeff
-            heapq.heappush(heap, (-dx, -other, ranks))
+            heapq.heappush(heap, (-inversions, ranks))
 
     for ranks, coeff in terms.items():
-        add(ranks, coeff, *_measure(ranks, n))
+        add(ranks, coeff, _inversions(ranks))
     while heap:
-        dx, other, ranks = heapq.heappop(heap)
-        dx, other = -dx, -other
+        negated, ranks = heapq.heappop(heap)
         coeff = pending.pop(ranks)
         if coeff == 0:
             continue
@@ -249,15 +242,11 @@ def _reduce_rank_words(
             continue
         pos = redexes[0] if rng is None else rng.choice(redexes)
         a, b = ranks[pos], ranks[pos + 1]
-        swapped = ranks[:pos] + (b, a) + ranks[pos + 2 :]
-        if 2 * n > a >= n > b:
-            add(swapped, coeff, dx - 1, other)
-            if kind is not AlgebraKind.C and a - n == b:
-                # d_i x_i: correction term z^2 (kind B) or 1 (kind A)
-                corr = ranks[:pos] + z_squared + ranks[pos + 2 :]
-                add(corr, coeff, *_measure(corr, n))
-        else:
-            add(swapped, coeff, dx, other - 1)
+        add(ranks[:pos] + (b, a) + ranks[pos + 2 :], coeff, -negated - 1)
+        if kind is not AlgebraKind.C and a < 2 * n and a - n == b:
+            # d_i x_i: correction z^2 (kind B), written last as z is central, or 1 (kind A)
+            corr = ranks[:pos] + ranks[pos + 2 :] + z_squared
+            add(corr, coeff, _inversions(corr))
     return out
 
 

@@ -447,8 +447,9 @@ def defining_identity_failure(nm: NakayamaMap) -> tuple[ShriekElement, ShriekEle
 def form_failure(n: int) -> ShriekElement | None:
     """The first basis word u with beta(u, ubar) != the top coefficient of u*ubar, or None.
 
-    ubar, the word of the letters u lacks, is the one word u pairs with, so
-    this binds ``_partner`` to the product: one element product per word.
+    ubar, the word of the letters u lacks, is the one word u pairs with:
+    one element product per word.  Both sides read ``_word_product(u, ubar)``,
+    so this checks ``_bilinear`` and ``top_word``, not the word product.
     """
     top = top_word(n)
     for w in shriek_basis(n):

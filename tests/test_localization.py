@@ -72,6 +72,17 @@ def test_make_not_divisible():
     assert str(e.numerator) == "x1 + z" and e.zpow == 2
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0])
+def test_make_rejects_a_power_that_is_not_an_int(k):
+    with pytest.raises(TypeError):
+        make(bel("x1"), k)
+
+
+def test_mu_rejects_a_degree_that_is_not_an_int():
+    with pytest.raises(TypeError):
+        mu(ael("x1"), -0.5)
+
+
 def test_make_rejects_other_kinds():
     with pytest.raises(KindMismatch):
         make(ael("x1"), 0)

@@ -378,7 +378,7 @@ def test_confluence_random_orders():
     "text, n, steps",
     [
         ("(x1+d1+z)^8", 1, 3**8),  # every word of length 8 over z, x1, d1
-        ("d1^8*x1^8", 1, 717),
+        ("d1^8*x1^8", 1, 213),
         ("(x1+d1+x2+d2+z)^5", 2, 5**5),
     ],
 )
@@ -388,13 +388,26 @@ def test_each_word_is_rewritten_once(rewrite_steps, text, n, steps):
     assert len(set(rewrite_steps)) == steps
 
 
+def test_inversion_count_never_rises(rewrite_steps):
+    rng = random.Random(41)
+    for _ in range(150):
+        kind = rng.choice([A, B, C])
+        n = rng.choice([1, 2])
+        w = random_word(rng, n, kind, max_len=8)
+        for route in (None, rng):
+            rewrite_steps.clear()
+            word_normal_form(w, kind, n, rng=route)
+            counts = [pbw._inversions(ranks) for ranks in rewrite_steps]
+            assert counts == sorted(counts, reverse=True), (w, kind, route)
+
+
 @pytest.mark.parametrize("k", range(13))
 def test_exchange_power_by_rewriting(k):
     d1, x1 = Generator.d(1), Generator.x(1)
     got = word_normal_form([d1] * k + [x1] * k, B, 1)
     assert got == multiply(gen_el(B, 1, d1) ** k, gen_el(B, 1, x1) ** k)
-    # random redex orders reach many more interleavings: k = 8 takes 1.3 s, k = 10 79 s
-    if k <= 6:
+    # random redex orders reach more words: three seeds take 0.03 s at k = 8, 0.23 s at k = 10
+    if k <= 10:
         for seed in range(3):
             assert word_normal_form([d1] * k + [x1] * k, B, 1, rng=random.Random(seed)) == got
 
