@@ -57,7 +57,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-_MAX_BUDGET = 1000  # verify all --n 3: 3.3-4.2 s process wall time (1.0-1.5 s at 200); 2 CPUs, Python 3.11.7
+_MAX_BUDGET = 1000  # verify all --n 3: 2.2-2.6 s process wall time (0.66-0.68 s at 200); 2 Xeon CPUs, Python 3.11.7
 
 
 def _budget(text: str) -> int:

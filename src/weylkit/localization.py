@@ -37,10 +37,24 @@ from .pbw import (
 
 @dataclass(frozen=True)
 class LocalizedElement:
-    """A canonical fraction numerator / z^zpow over the homogenized algebra."""
+    """A fraction numerator / z^zpow over the homogenized algebra; ``make`` builds the canonical one.
+
+    A ``zpow`` that is not an int raises TypeError, a numerator that is not
+    a kind-B element KindMismatch, and a negative ``zpow`` ValueError.
+    """
 
     numerator: AlgebraElement
     zpow: int
+
+    def __post_init__(self):
+        if not isinstance(self.zpow, int):
+            raise TypeError(f"a z power must be an int, got {self.zpow!r}")
+        b = self.numerator
+        if not isinstance(b, AlgebraElement) or b.kind is not AlgebraKind.B:
+            got = b.kind.value if isinstance(b, AlgebraElement) else type(b).__name__
+            raise KindMismatch(f"localization lives over kind B, got {got}")
+        if self.zpow < 0:
+            raise ValueError("zpow must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -66,18 +80,13 @@ class LocalizedElement:
 def make(b: AlgebraElement, k: int = 0) -> LocalizedElement:
     """Canonical fraction b/z^k: strips common z factors, sends 0 to 0/z^0.
 
-    A ``k`` that is not an int raises TypeError, as in ``z_shift``.
+    ``b`` and ``k`` are refused as ``LocalizedElement`` refuses them, before any work.
     """
-    if not isinstance(k, int):
-        raise TypeError(f"make needs an int k, got {k!r}")
-    if b.kind is not AlgebraKind.B:
-        raise KindMismatch(f"localization lives over kind B, got {b.kind.value}")
-    if k < 0:
-        raise ValueError("zpow must be nonnegative")
+    e = LocalizedElement(b, k)
     if b.is_zero():
         return LocalizedElement(b, 0)
     strip = min(k, min(m.zexp for m in b.coeffs))
-    return LocalizedElement(divide_by_z(b, strip), k - strip)
+    return LocalizedElement(divide_by_z(b, strip), k - strip) if strip else e
 
 
 def _check_pair(a: LocalizedElement, b: LocalizedElement) -> None:

@@ -32,10 +32,14 @@ it, so like words merge before they are reduced and each distinct word
 is reduced once.  Each word's redexes are listed, as ``shriek`` lists
 them, and the leftmost is rewritten; passing an ``rng`` picks one at
 random, which the confluence tests exercise.
+
+``basis_of_degree`` builds each graded piece once and caches it (its
+docstring gives the bound); callers get copies.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
@@ -381,20 +385,41 @@ def graded_degree(a: AlgebraElement) -> int:
 def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
     """All monomials of graded degree d, in canonical order.
 
-    For kinds B and C there are C(d+2n, 2n) of them; kind A omits z.  Built in
-    order, with no sort: z exponent a ascending, then the rank words of length
-    d-a in lexicographic order, which is descending x- and d-exponents.
+    For kinds B and C there are C(d+2n, 2n) of them; kind A omits z.  Each
+    (kind, n, d) is built once, with its {monomial: position} index, and
+    kept in a cache of the 128 latest keys (``center-solve`` cycles through
+    54); the largest a repo caller builds, (B, 3, 8), has 3 003 monomials
+    and takes about 0.85 MB.  Every call returns a fresh list, which the
+    caller may change.  A non-int n or d raises TypeError, a negative one
+    ValueError.
+
+    >>> [str(m) for m in basis_of_degree(AlgebraKind.B, 1, 2)]
+    ['x1^2', 'x1*d1', 'd1^2', 'z*x1', 'z*d1', 'z^2']
     """
     if kind.is_shriek:
         raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
+    if not (isinstance(n, int) and isinstance(d, int)):
+        raise TypeError(f"basis_of_degree needs int n and d, got {n!r} and {d!r}")
+    if n < 0 or d < 0:
+        raise ValueError("pair count and degree must be nonnegative")
+    return list(_graded_basis(kind, n, d)[0])
+
+
+@functools.lru_cache(maxsize=128)
+def _graded_basis(kind: AlgebraKind, n: int, d: int) -> tuple[tuple[PBWMonomial, ...], dict[PBWMonomial, int]]:
+    """The basis and each monomial's position; never changed.
+
+    Built in order, with no sort: z exponent a ascending, then the rank words
+    of length d-a in lexicographic order, which is descending x- and
+    d-exponents.
+    """
     zexps = (0,) if kind is AlgebraKind.A else range(d + 1)  # kind A has no z, rank 2n
-    return [
+    basis = tuple(
         _ranks_to_monomial(w + (2 * n,) * a, n)
         for a in zexps
         for w in itertools.combinations_with_replacement(range(2 * n), d - a)
-    ]
+    )
+    return basis, {m: i for i, m in enumerate(basis)}
 
 
 def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElement]:

@@ -26,7 +26,10 @@ and d_i each passing the letters ranked above them.  The tests check this
 against rewriting on every word pair, n <= 3.
 
 The basis lists words by degree, then by ascending ranks, as
-``itertools.combinations`` yields them.  The z-free words form a subalgebra
+``itertools.combinations`` yields them; each degree is built once and
+cached (``shriek_basis_of_degree`` gives the bound), and
+``ShriekElement.of_basis`` builds elements on basis words with no word
+check.  The z-free words form a subalgebra
 (the exterior algebra on the x and d generators) and the words with z span
 its complementary free rank-one piece; ``decompose`` splits along that
 direct sum.  The Frobenius form beta(a, b) is the coefficient of the top
@@ -40,6 +43,7 @@ off the same pairing; the tests keep the Gram solve as its oracle.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -112,8 +116,7 @@ class ShriekElement(SparseElement):
 
     def __init__(self, n: int, coeffs: dict[ShriekWord, Rational] | None = None,
                  kind: AlgebraKind = AlgebraKind.B_SHRIEK):
-        if kind not in (AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK):
-            raise KindMismatch(f"shriek engine handles kinds B! and C!, got {kind.value}")
+        _check_kind(kind)
         SparseElement.__init__(self, kind, n, coeffs)
 
     def _check_keys(self, keys) -> None:
@@ -124,8 +127,17 @@ class ShriekElement(SparseElement):
                 raise SizeMismatch(f"word {w} does not fit n={self.n}")
 
     @staticmethod
+    def of_basis(n: int, coeffs: dict[ShriekWord, Rational],
+                 kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
+        """An element on words of ``shriek_basis(n)``, valid by construction: only the kind is checked."""
+        _check_kind(kind)
+        out = object.__new__(ShriekElement)
+        out._fill(kind, n, coeffs)
+        return out
+
+    @staticmethod
     def one(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
-        return ShriekElement(n, {ShriekWord(0, 0): 1}, kind)
+        return ShriekElement.of_basis(n, {ShriekWord(0, 0): 1}, kind)
 
     @staticmethod
     def word(n: int, w: ShriekWord, coeff: Rational = 1,
@@ -135,7 +147,7 @@ class ShriekElement(SparseElement):
     @staticmethod
     def generator(n: int, g: Generator, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
         g.check(n, kind)
-        return ShriekElement.word(n, _ranks_to_word([g.rank(n)], n), 1, kind)
+        return ShriekElement.of_basis(n, {_ranks_to_word([g.rank(n)], n): 1}, kind)
 
     def _times(self, other: "ShriekElement") -> "ShriekElement":
         return multiply(self, other)
@@ -146,22 +158,52 @@ class ShriekElement(SparseElement):
 
 # -- basis enumeration ---------------------------------------------------------
 
+def _check_kind(kind: AlgebraKind) -> None:
+    if kind not in (AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK):
+        raise KindMismatch(f"shriek engine handles kinds B! and C!, got {kind.value}")
+
+
+def _check_ints(n: int, j: int = 0) -> None:
+    if not (isinstance(n, int) and isinstance(j, int)):
+        raise TypeError(f"the pair count and degree must be ints, got {n!r} and {j!r}")
+    if n < 0:
+        raise ValueError(f"the pair count must be nonnegative, got {n}")
+
+
 def shriek_basis(n: int) -> list[ShriekWord]:
-    """All 2^(2n+1) basis words, by degree and then by ascending rank tuple."""
-    return [w for j in range(2 * n + 2) for w in shriek_basis_of_degree(n, j)]
+    """All 2^(2n+1) basis words, by degree and then by ascending rank tuple; a fresh list of the cached degrees."""
+    _check_ints(n)
+    return [w for j in range(2 * n + 2) for w in _graded_words(n, j)[0]]
 
 
 def shriek_basis_of_degree(n: int, j: int) -> list[ShriekWord]:
-    """The degree-j words; a word's ranks ascend, so ``combinations`` lists them in order."""
+    """The degree-j words, in basis order; none when j < 0 or j > 2n+1.
+
+    Each (n, j) is built once, with its {word: position} index, and kept in
+    a cache of the 64 latest keys; the largest a repo caller builds,
+    (4, 4), has 126 words and takes about 0.02 MB.  Every call returns a
+    fresh list, which the caller may change.  A non-int n or j raises
+    TypeError, a negative n ValueError.
+
+    >>> [w.word_str(1) for w in shriek_basis_of_degree(1, 2)]
+    ['x1*d1', 'x1*z', 'd1*z']
+    """
+    _check_ints(n, j)
+    return list(_graded_words(n, j)[0])
+
+
+@functools.lru_cache(maxsize=64)
+def _graded_words(n: int, j: int) -> tuple[tuple[ShriekWord, ...], dict[ShriekWord, int]]:
+    """The degree-j words, which ``combinations`` lists in order, and each one's position; never changed."""
     if j < 0:
-        return []  # combinations refuses a negative length
-    return [_ranks_to_word(ranks, n) for ranks in combinations(range(2 * n + 1), j)]
+        return (), {}  # combinations refuses a negative length
+    words = tuple(_ranks_to_word(ranks, n) for ranks in combinations(range(2 * n + 1), j))
+    return words, {w: i for i, w in enumerate(words)}
 
 
 def degree_dimensions(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> list[int]:
     """Per-degree dimensions.  For B!: C(2n,j) + C(2n,j-1); for C!: C(2n+1,j)."""
-    if not kind.is_shriek:
-        raise KindMismatch(f"shriek engine handles kinds B! and C!, got {kind.value}")
+    _check_kind(kind)
     if kind is AlgebraKind.C_SHRIEK:
         return [comb(2 * n + 1, j) for j in range(2 * n + 2)]
     return [comb(2 * n, j) + (comb(2 * n, j - 1) if j >= 1 else 0) for j in range(2 * n + 2)]
@@ -223,8 +265,8 @@ def reduce_expression(
     rng: random.Random | None = None,
 ) -> ShriekElement:
     """Reduce a parsed free expression into the shriek algebra."""
-    n = expr.n
-    return ShriekElement(n, _reduce_rank_words(expr.rank_terms(kind), n, kind, rng), kind)
+    n = expr.n  # rank_terms checks every generator, so the reduced words are basis words
+    return ShriekElement.of_basis(n, _reduce_rank_words(expr.rank_terms(kind), n, kind, rng), kind)
 
 
 def _word_product(u: ShriekWord, v: ShriekWord, kind: AlgebraKind, n: int):
@@ -325,8 +367,8 @@ def gram_matrix(n: int, j: int) -> list[list[Rational]]:
     """[beta(u_i, v_k)] over the degree-(j, 2n+1-j) basis pair: one signed entry per row."""
     if not 0 <= j <= 2 * n + 1:
         raise ValueError(f"degree {j} out of range 0..{2 * n + 1}")
-    rows = shriek_basis_of_degree(n, j)
-    cols = {v: k for k, v in enumerate(shriek_basis_of_degree(n, 2 * n + 1 - j))}
+    rows = shriek_basis_of_degree(n, j)  # checks n and j, which then key the cached column index
+    cols = _graded_words(n, 2 * n + 1 - j)[1]
     gram = [[0] * len(cols) for _ in rows]
     for row, u in zip(gram, rows):
         partner, sign = _partner(u, n)
@@ -388,7 +430,7 @@ def nakayama(n: int) -> NakayamaMap:
     images = {}
     for y in shriek_basis_of_degree(n, 1):
         ybar, sign = _partner(y, n)
-        images[y.word_str(n)] = ShriekElement.word(n, y, sign * _partner(ybar, n)[1])
+        images[y.word_str(n)] = ShriekElement.of_basis(n, {y: sign * _partner(ybar, n)[1]})
     return NakayamaMap(n, images)
 
 
@@ -428,19 +470,17 @@ def defining_identity_failure(nm: NakayamaMap) -> tuple[ShriekElement, ShriekEle
     and no ``bilinear_form``.
     """
     n = nm.n
-    words = shriek_basis(n)
-    position = {w: i for i, w in enumerate(words)}
-    for y in words:
+    for y in shriek_basis(n):
         left = {}  # x -> beta(sigma(y), x)
-        for u, c in apply_automorphism(nm, ShriekElement.word(n, y)).coeffs.items():
+        for u, c in apply_automorphism(nm, ShriekElement.of_basis(n, {y: 1})).coeffs.items():
             partner, sign = _partner(u, n)
             left[partner] = sign * c
         ybar, _ = _partner(y, n)
         right = {ybar: _partner(ybar, n)[1]}  # x -> beta(x, y)
         wrong = [x for x in left.keys() | right.keys() if left.get(x, 0) != right.get(x, 0)]
-        if wrong:
-            x = min(wrong, key=position.__getitem__)
-            return ShriekElement.word(n, y), ShriekElement.word(n, x)
+        if wrong:  # the first in basis order: by degree, then by position in the degree
+            x = min(wrong, key=lambda w: (w.degree, _graded_words(n, w.degree)[1][w]))
+            return ShriekElement.of_basis(n, {y: 1}), ShriekElement.of_basis(n, {x: 1})
     return None
 
 
@@ -453,8 +493,8 @@ def form_failure(n: int) -> ShriekElement | None:
     """
     top = top_word(n)
     for w in shriek_basis(n):
-        u = ShriekElement.word(n, w)
-        ubar = ShriekElement.word(n, ShriekWord(top.letters ^ w.letters, w.zflag ^ 1))
+        u = ShriekElement.of_basis(n, {w: 1})
+        ubar = ShriekElement.of_basis(n, {ShriekWord(top.letters ^ w.letters, w.zflag ^ 1): 1})
         if frobenius_functional(multiply(u, ubar)) != bilinear_form(u, ubar):
             return u
     return None

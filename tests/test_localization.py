@@ -88,6 +88,19 @@ def test_make_rejects_other_kinds():
         make(ael("x1"), 0)
 
 
+def test_fraction_constructor_refuses_what_make_refuses():
+    # it once built x1/z^1.5 and rendered it as (x1)/z^1.5
+    with pytest.raises(TypeError):
+        LocalizedElement(bel("x1"), 1.5)
+    with pytest.raises(ValueError):
+        LocalizedElement(bel("x1"), -1)
+    for numerator in (ael("x1"), "x1", None):
+        with pytest.raises(KindMismatch):
+            LocalizedElement(numerator, 1)
+    with pytest.raises(ValueError):
+        make(bel("x1"), -1)
+
+
 def test_loc_equals_cancels_z():
     assert loc_equals(make(bel("z*x1"), 1), make(bel("x1"), 0))
     assert not loc_equals(make(bel("x1"), 1), make(bel("x1"), 0))

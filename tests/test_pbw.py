@@ -333,6 +333,31 @@ def test_basis_refuses_the_shriek_kinds(kind):
         basis_of_degree(kind, 1, 1)
 
 
+def test_basis_refuses_bad_arguments_before_the_cache():
+    basis_of_degree(B, 2, 2)  # cached: a lookup by 2.0 would find this entry
+    for n, d in ((2.0, 2), (2, 2.0), ("2", 2)):
+        with pytest.raises(TypeError):
+            basis_of_degree(B, n, d)
+    for n, d in ((-1, 2), (1, -1)):
+        with pytest.raises(ValueError):
+            basis_of_degree(B, n, d)
+
+
+def test_basis_list_belongs_to_the_caller():
+    want = basis_of_degree(C, 2, 3)
+    basis_of_degree(C, 2, 3).append(PBWMonomial(0, (9, 9), (9, 9)))
+    basis_of_degree(C, 2, 3).clear()
+    assert basis_of_degree(C, 2, 3) == want and len(want) == comb(3 + 4, 4)
+
+
+def test_basis_is_built_once_per_key():
+    pbw._graded_basis.cache_clear()
+    assert basis_of_degree(B, 2, 4) == basis_of_degree(B, 2, 4)
+    assert basis_of_degree(A, 2, 4) != basis_of_degree(B, 2, 4)  # the kind is part of the key
+    info = pbw._graded_basis.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
 # -- filtration laws ---------------------------------------------------------------
 
 

@@ -107,6 +107,39 @@ def test_basis_equals_the_sort_of_all_words(n):
     assert shriek_basis_of_degree(n, -1) == [] == shriek_basis_of_degree(n, 2 * n + 2)
 
 
+def test_basis_of_degree_refuses_bad_arguments_before_the_cache():
+    shriek_basis_of_degree(2, 2)  # cached: a lookup by 2.0 would find this entry
+    for n, j in ((2.0, 2), (2, 2.0), (None, 2)):
+        with pytest.raises(TypeError):
+            shriek_basis_of_degree(n, j)
+    with pytest.raises(ValueError):
+        shriek_basis_of_degree(-1, 0)
+
+
+def test_basis_refuses_bad_arguments_before_the_cache():
+    shriek_basis(2)
+    with pytest.raises(TypeError):
+        shriek_basis(2.0)
+    with pytest.raises(ValueError):
+        shriek_basis(-1)  # it once listed no words
+
+
+@pytest.mark.parametrize("listing", [lambda: shriek_basis(2), lambda: shriek_basis_of_degree(2, 2)])
+def test_basis_lists_belong_to_the_caller(listing):
+    want = listing()
+    listing().append(ShriekWord(0, 0))
+    listing().clear()
+    assert listing() == want and want
+
+
+def test_basis_words_are_built_once_per_degree():
+    shriek._graded_words.cache_clear()
+    assert shriek_basis(2) == shriek_basis(2)
+    assert shriek_basis_of_degree(2, 3) == shriek_basis(2)[16:26]  # after 1 + 5 + 10 words
+    info = shriek._graded_words.cache_info()
+    assert (info.misses, info.hits) == (6, 13)  # 19 reads of degrees 0..5, each degree built once
+
+
 def test_basis_order_n1():
     assert [w.word_str(1) for w in shriek_basis(1)] == [
         "1",

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from weylkit import (
     AlgebraKind,
     DefiningIdentityFailure,
+    ShriekElement,
     UnknownSuite,
     UnsupportedN,
     basis_of_degree,
@@ -25,6 +26,7 @@ from weylkit import (
 )
 from weylkit.cli import _VERBS, cli_main
 from weylkit.quadratic import relation_text
+from weylkit.shriek import top_word
 from weylkit.verify import SUITE_NAMES, bless_golden, compute_golden, load_golden
 
 
@@ -32,6 +34,18 @@ def _strip_timing(doc):
     for check in doc["checks"]:
         check.pop("elapsedMillis", None)
     return doc
+
+
+@pytest.mark.parametrize("name, n", [("frobenius", 2), ("nakayama", 2), ("decomposition", 2), ("shriek-dims", 3)])
+def test_shriek_suites_check_no_basis_word(monkeypatch, name, n):
+    # basis words are valid by construction; these runs once made 1 920, 416, 1 300 and 710 key checks
+    checked = []
+    inner = ShriekElement._check_keys
+    monkeypatch.setattr(ShriekElement, "_check_keys", lambda self, keys: checked.extend(keys) or inner(self, keys))
+    assert run_suite(name, n, seed=1).passed
+    assert checked == []
+    ShriekElement.word(n, top_word(n))  # the wrapper counts
+    assert checked == [top_word(n)]
 
 
 def test_every_suite_passes_smoke():
