@@ -189,9 +189,10 @@ _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 # n = 5 no more than 500 000 / n (expressions.bounded_product); at --n 1000, nf "(x1+d1+z)^8"
 # takes 0.23-0.26 s (0.14-0.17 s at n = 1), and mul of two of them is refused in 0.35-0.41 s
 # (it prints in 0.19-0.21 s at n = 1).  dims --n 1000 counts by formula: 0.09-0.13 s for A, B
-# and C, 0.26-0.44 s for B! and C!, which print 869 252 bytes.  center --n 4 0.12-0.19 s,
-# dual --n 12 1.4 s, nakayama --n 3 0.16-0.21 s with --json; these grow fast with n (2 CPUs,
-# Python 3.11.7).  verify takes the one suite cap, SUITE_MAX_N; its time is at _MAX_BUDGET.
+# and C, 0.26-0.44 s for B! and C!, which print 869 252 bytes.  center --n 4 0.11-0.17 s,
+# nearly all of it start-up (importing weylkit.cli takes 0.10-0.17 s), dual --n 12 1.4 s,
+# nakayama --n 3 0.16-0.21 s with --json; these grow fast with n (2 Xeon CPUs, Python 3.11.7).
+# verify takes the one suite cap, SUITE_MAX_N; its time is at _MAX_BUDGET.
 _EXPR_MAX_N = 1000
 
 _VERBS = {

@@ -34,7 +34,8 @@ them, and the leftmost is rewritten; passing an ``rng`` picks one at
 random, which the confluence tests exercise.
 
 ``basis_of_degree`` builds each graded piece once and caches it (its
-docstring gives the bound); callers get copies.
+docstring gives the bound); callers get copies, and ``centralizer_in_degree``
+reads the center off them with no product.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import heapq
 import itertools
 import random
 from bisect import bisect_right
+from collections import Counter
 from math import comb, factorial
 from operator import add
 from typing import NamedTuple, Sequence
@@ -133,6 +135,8 @@ class AlgebraElement(SparseElement):
     def _check_keys(self, keys) -> None:
         n, weyl = self.n, self.kind is AlgebraKind.A
         for m in keys:
+            if not isinstance(m, PBWMonomial):
+                raise TypeError(f"{m!r} is not a PBWMonomial")
             if len(m.xexps) != n or len(m.dexps) != n:
                 raise SizeMismatch(f"monomial {m} has wrong arity for n={n}")
             if not all(type(e) is int and e >= 0 for e in (m.zexp, *m.xexps, *m.dexps)):
@@ -386,12 +390,11 @@ def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
     """All monomials of graded degree d, in canonical order.
 
     For kinds B and C there are C(d+2n, 2n) of them; kind A omits z.  Each
-    (kind, n, d) is built once, with its {monomial: position} index, and
-    kept in a cache of the 128 latest keys (``center-solve`` cycles through
-    54); the largest a repo caller builds, (B, 3, 8), has 3 003 monomials
-    and takes about 0.85 MB.  Every call returns a fresh list, which the
-    caller may change.  A non-int n or d raises TypeError, a negative one
-    ValueError.
+    (kind, n, d) is built once and kept in a cache of the 128 latest keys
+    (``center-solve`` cycles through 54); the largest a repo caller builds,
+    (B, 3, 8), has 3 003 monomials and takes about 0.62 MB.  Every call
+    returns a fresh list, which the caller may change.  A non-int n or d
+    raises TypeError, a negative one ValueError.
 
     >>> [str(m) for m in basis_of_degree(AlgebraKind.B, 1, 2)]
     ['x1^2', 'x1*d1', 'd1^2', 'z*x1', 'z*d1', 'z^2']
@@ -402,57 +405,46 @@ def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
         raise TypeError(f"basis_of_degree needs int n and d, got {n!r} and {d!r}")
     if n < 0 or d < 0:
         raise ValueError("pair count and degree must be nonnegative")
-    return list(_graded_basis(kind, n, d)[0])
+    return list(_graded_basis(kind, n, d))
 
 
 @functools.lru_cache(maxsize=128)
-def _graded_basis(kind: AlgebraKind, n: int, d: int) -> tuple[tuple[PBWMonomial, ...], dict[PBWMonomial, int]]:
-    """The basis and each monomial's position; never changed.
-
-    Built in order, with no sort: z exponent a ascending, then the rank words
-    of length d-a in lexicographic order, which is descending x- and
-    d-exponents.
+def _graded_basis(kind: AlgebraKind, n: int, d: int) -> tuple[PBWMonomial, ...]:
+    """The basis, never changed, built in order with no sort: z exponent a
+    ascending, then the rank words of length d-a in lexicographic order,
+    which is descending x- and d-exponents.
     """
     zexps = (0,) if kind is AlgebraKind.A else range(d + 1)  # kind A has no z, rank 2n
-    basis = tuple(
+    return tuple(
         _ranks_to_monomial(w + (2 * n,) * a, n)
         for a in zexps
         for w in itertools.combinations_with_replacement(range(2 * n), d - a)
     )
-    return basis, {m: i for i, m in enumerate(basis)}
 
 
 def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElement]:
     """Basis of the homogeneous degree-d elements commuting with every generator.
 
-    One equation per generator g and degree-(d+1) monomial t: the
-    t-coefficient of [a, g] vanishes, for a over the degree-d span.  z is
-    central, so only x_i and d_i give equations.  [m, g] for a basis
-    monomial m = z^a x^P d^Q is one term, read off the exponents with no
-    product: q_i*c*z^a x^P d^(Q-e_i) for g = x_i and -p_i*c*z^a x^(P-e_i) d^Q
-    for g = d_i (c = z^2 for B, 1 for A; kind C has c = 0, so every
-    monomial is central).  No two monomials reach one (g, t), so each
-    equation has one unknown and the solutions are spanned by the monomials
-    whose commutators all vanish, in basis order.  A (g, t) reached twice
-    would void that argument, so it raises RuntimeError.  The central
-    monomials are valid by construction, so their elements skip the key check.
+    z is central, so only x_i and d_i matter.  For a basis monomial
+    m = z^a x^P d^Q, [m, x_i] = q_i*c*z^a x^P d^(Q-e_i) and
+    [m, d_i] = -p_i*c*z^a x^(P-e_i) d^Q, read off the exponents with no
+    product (c = z^2 for B, 1 for A, 0 for C).  Adding e_i back gives m, so
+    distinct monomials have distinct targets, no combination of noncentral
+    monomials is central, and the center is spanned by the monomials with
+    no x or d exponent (every monomial for C), in basis order.  A basis
+    listing a monomial twice would void that argument, so it raises
+    RuntimeError before any element is built.  The central monomials are
+    valid by construction, so their elements skip the key check.
+
+    >>> [str(v) for v in centralizer_in_degree(AlgebraKind.B, 1, 2)]
+    ['z^2']
     """
     basis = basis_of_degree(kind, n, d)
+    if len(set(basis)) < len(basis):
+        twice = next(m for m, k in Counter(basis).items() if k > 1)
+        raise RuntimeError(f"the degree-{d} basis lists {twice} twice")
     like = AlgebraElement.one(kind, n)._like
-    shift = 2 if kind is AlgebraKind.B else 0  # the z exponent that c adds
-    reached: set[tuple] = set()  # (rank of g, z-, x- and d-exponents of t)
-    central = []
-    for m in basis:
-        a, P, Q = m.zexp + shift, m.xexps, m.dexps
-        pairs = [] if kind is AlgebraKind.C else [
-            (i, a, P, Q[:i] + (Q[i] - 1,) + Q[i + 1 :]) for i in range(n) if Q[i]
-        ] + [(n + i, a, P[:i] + (P[i] - 1,) + P[i + 1 :], Q) for i in range(n) if P[i]]
-        for r, *t in sorted(reached.intersection(pairs)):
-            raise RuntimeError(f"two monomials of degree {d} reach {PBWMonomial(*t)} in [-, {_ranks_to_monomial((r,), n)}]")
-        reached.update(pairs)
-        if not pairs:
-            central.append(like({m: 1}))
-    return central
+    return [like({m: 1}) for m in basis if kind is AlgebraKind.C or not m.partial]
 
 
 # -- divisibility by z ---------------------------------------------------------

@@ -121,6 +121,8 @@ class ShriekElement(SparseElement):
 
     def _check_keys(self, keys) -> None:
         for w in keys:
+            if not isinstance(w, ShriekWord):
+                raise TypeError(f"{w!r} is not a ShriekWord")
             if not (type(w.letters) is int and w.letters >= 0 and type(w.zflag) is int and w.zflag in (0, 1)):
                 raise ValueError(f"{w!r} needs a nonnegative int letter mask and a z flag of 0 or 1")
             if w.letters >> 2 * self.n:

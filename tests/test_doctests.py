@@ -1,13 +1,16 @@
 """Keep the docstring examples honest."""
 
 import doctest
+import importlib
+import pkgutil
 
-import weylkit.expressions
-import weylkit.pbw
-import weylkit.shriek
+import weylkit
 
 
 def test_module_doctests():
-    for mod in (weylkit.expressions, weylkit.pbw, weylkit.shriek):
+    names = [info.name for info in pkgutil.iter_modules(weylkit.__path__)]
+    assert {"expressions", "pbw", "shriek", "verify"} <= set(names)  # the walk finds the modules
+    for name in names:
+        mod = importlib.import_module(f"weylkit.{name}")
         result = doctest.testmod(mod)
         assert result.failed == 0, mod.__name__

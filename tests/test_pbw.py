@@ -149,6 +149,13 @@ def test_constructor_refuses_a_malformed_exponent(key):
         AlgebraElement(B, 1, {key: 1})
 
 
+@pytest.mark.parametrize("key", [(0, (1,), (0,)), "x1", ShriekWord(1, 0)], ids=["tuple", "str", "shriek-word"])
+def test_constructor_refuses_a_key_of_another_type(key):
+    # a plain tuple equals its PBWMonomial, so only the type check tells them apart
+    with pytest.raises(TypeError, match=r"is not a PBWMonomial$"):
+        AlgebraElement(B, 1, {key: 1})
+
+
 def test_constructor_keeps_the_arity_and_weyl_checks():
     with pytest.raises(SizeMismatch):
         AlgebraElement(B, 1, {PBWMonomial(0, (-1, 0), (0,)): 1})  # arity is checked first
@@ -522,8 +529,9 @@ def test_centralizer_refuses_a_basis_where_two_monomials_meet(monkeypatch):
         return inner(kind, n, d) + [PBWMonomial(0, (1, 0), (1, 0))]
 
     monkeypatch.setattr(pbw, "basis_of_degree", listing_x1d1_twice)
-    with pytest.raises(RuntimeError, match=r"^two monomials of degree 2 reach z\^2\*x1 in \[-, x1\]$"):
-        centralizer_in_degree(B, 2, 2)
+    for kind in (B, C):  # kind C makes no commutator term, but the read-off still needs distinct monomials
+        with pytest.raises(RuntimeError, match=r"^the degree-2 basis lists x1\*d1 twice$"):
+            centralizer_in_degree(kind, 2, 2)
 
 
 @pytest.mark.parametrize("kind", [A, B, C], ids=lambda k: k.value)

@@ -12,6 +12,7 @@ from weylkit import (
     AlgebraKind,
     Generator,
     KindMismatch,
+    PBWMonomial,
     ShriekElement,
     SizeMismatch,
     apply_automorphism,
@@ -246,6 +247,13 @@ def test_size_mismatch():
 def test_constructor_refuses_a_malformed_word(word):
     with pytest.raises(ValueError):
         ShriekElement(1, {word: 1})
+
+
+@pytest.mark.parametrize("key", [(1, 0), "x1", PBWMonomial(0, (1,), (0,))], ids=["tuple", "str", "pbw-monomial"])
+def test_constructor_refuses_a_key_of_another_type(key):
+    # refused before any field is read, so no AttributeError escapes
+    with pytest.raises(TypeError, match=r"is not a ShriekWord$"):
+        ShriekElement(1, {key: 1})
 
 
 def test_constructor_keeps_the_letter_range_check():

@@ -101,6 +101,34 @@ def test_center_suite_binds_the_read_off_to_the_product(monkeypatch):
         assert m and not re.fullmatch(r"1|z(\^\d)?", m[1]), witness  # names a non-central monomial
 
 
+_CENTER_CLAIMS = ("center-dimension", "center-spanned-by-z-power", "center-read-off-commutes")
+
+
+@pytest.mark.parametrize(
+    "keep, catching",
+    [
+        (lambda m: not any(m.xexps), _CENTER_CLAIMS),  # ignores the d-exponents
+        (lambda m: not any(m.dexps), _CENTER_CLAIMS),  # ignores the x-exponents
+        (lambda m: True, _CENTER_CLAIMS),  # keeps every monomial of B
+        (lambda m: False, ("center-dimension", "center-read-off-commutes")),  # the span claim holds vacuously
+    ],
+    ids=["ignores-d", "ignores-x", "keeps-everything", "returns-nothing"],
+)
+def test_center_suite_catches_each_read_off_mutant(monkeypatch, keep, catching):
+    from weylkit import verify
+
+    assert run_suite("center", 2).passed  # unmutated
+
+    def mutant(kind, n, d):
+        return [verify.AlgebraElement.monomial(kind, n, m) for m in basis_of_degree(kind, n, d) if keep(m)]
+
+    monkeypatch.setattr(verify, "centralizer_in_degree", mutant)
+    report = run_suite("center", 2)
+    failed = {c.claim_id for c in report.checks if not c.passed}
+    assert not report.passed
+    assert failed == {f"{claim}[n={n}]" for claim in catching for n in (1, 2)}
+
+
 def test_dual_suite_builds_each_presentation_once(monkeypatch):
     from weylkit import linalg, verify
 
