@@ -10,18 +10,20 @@ tests check ``evaluate`` against.
 explicit (``x1*d1``), exponents are nonnegative integers, rationals are
 written ``p/q``, and unary minus binds looser than ``*``.  Tokens are
 case-insensitive and ASCII-only.  Parentheses nest at most
-``_MAX_DEPTH`` deep.  Numbers read, printed or built by a product have at
-most ``sys.get_int_max_str_digits()`` digits (else ExpressionTooLarge).
+``_MAX_DEPTH`` deep.  Numbers read, built by a product or printed have at
+most ``_max_digits()`` digits (else ExpressionTooLarge): 4300, or fewer
+under a lower interpreter int-to-str limit; no setting raises it.
 
 ``evaluate`` builds every product, and every square and multiply step of a
 power, with ``bounded_product``, which bounds the product's term count and
-coefficients before building it; the terms are counted by the engine that
+exchange factors before building it; both are counted by the engine that
 builds them, ``pbw.product_size`` or ``shriek.product_size``.  ``parse``
 refuses a product of free words longer than ``_MAX_FREE_SIZE`` letters in
 all.  Both add the summands of a sum in pairs.
 
 ``render`` prints every value the CLI prints: PBW elements, ``B!``/``C!``
-elements and the fractions of ``localization``.
+elements and the fractions of ``localization``.  It checks every number
+against the digit bound before it converts one.
 """
 
 from __future__ import annotations
@@ -62,6 +64,15 @@ _MAX_FREE_SIZE = 100_000
 # builds at most 62 500 terms at n = 8 and 500 at n = 1000.
 _MAX_PRODUCT_TERMS = 100_000
 
+# Numbers read or printed have at most this many digits, Python's default int-to-str
+# limit; ``_max_digits`` lowers it to the interpreter's limit when that is lower.
+_MAX_DIGITS = 4300
+
+# A product whose exchange factors k! C(q, k) C(p, k) may exceed this many bits
+# (``pbw.product_size``) is refused before it is built.  Fixed, so the interpreter's
+# limit does not move it: d1^k*x1^k prints for k <= 1548, with 22k <= 34 056 bits.
+_MAX_EXCHANGE_BITS = 8 * _MAX_DIGITS
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<VAR>[xdXD][0-9]+|[zZ])|(?P<NAT>[0-9]+)|(?P<OP>[-+*^/()]))"
 )
@@ -73,7 +84,7 @@ _Terms = list[tuple[Rational, tuple[Generator, ...]]]
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
-    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    limit = _max_digits()
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
@@ -88,32 +99,39 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(where, {"variable", "number", "operator"}, text[where])
         kind = m.lastgroup
         value = m.group(kind)
-        if limit and len(value) - (kind == "VAR") > limit:
+        if len(value) - (kind == "VAR") > limit:
             raise ExpressionTooLarge(f"the number at position {m.start(kind)} has more than {limit} digits")
         tokens.append((kind, value, m.start(kind)))
         pos = m.end()
     return tokens
 
 
+def _max_digits() -> int:
+    """``_MAX_DIGITS``, or the interpreter's int-to-str limit when that is lower."""
+    return min(_MAX_DIGITS, sys.get_int_max_str_digits() or _MAX_DIGITS)
+
+
+def _too_long(values, digits: int) -> bool:
+    """Whether one of the rationals ``values`` has more than ``digits`` digits in its numerator or denominator."""
+    short = 3 * digits  # 2^(3 digits) < 10^digits: a number this short has at most digits digits
+    long = [v for v in values if v.numerator.bit_length() > short or v.denominator.bit_length() > short]
+    return any(abs(v.numerator) >= 10**digits or v.denominator >= 10**digits for v in long)
+
+
 def _refuse_unprintable(coeffs) -> None:
-    """Refuse when one of ``coeffs`` has more digits than ``render`` can print."""
-    digits = sys.get_int_max_str_digits()  # 0 means no limit
-    short = 3 * digits  # 2^(3 digits) < 10^digits: a coefficient this short prints
-    if digits and any(c.numerator.bit_length() > short or c.denominator.bit_length() > short for c in coeffs):
-        bound = 10**digits
-        if any(abs(c.numerator) >= bound or c.denominator >= bound for c in coeffs):
-            raise ExpressionTooLarge(f"a coefficient has more than {digits} digits")
+    """Refuse when one of ``coeffs`` has more digits than ``render`` prints."""
+    digits = _max_digits()
+    if _too_long(coeffs, digits):
+        raise ExpressionTooLarge(f"a coefficient has more than {digits} digits")
 
 
 def bounded_product(a: SparseElement, b: SparseElement, comm: bool = False) -> SparseElement:
     """``a * b``, or ``a * b - b * a`` if ``comm``, unless it is too large (ExpressionTooLarge).
 
     Refused before it is built past ``_MAX_PRODUCT_TERMS * 5 // max(n, 5)``
-    terms, as the engine's ``product_size`` counts them up to the cap.
-    Refused, too, when a coefficient cannot be printed: after it is built,
-    and before if its exact part of least partial degree (one term per term
-    pair) shows one, computed only when an exchange factor may exceed
-    3 * digits bits.
+    terms, or past ``_MAX_EXCHANGE_BITS`` exchange bits, as the engine's
+    ``product_size`` counts them; refused after it is built when a
+    coefficient has more digits than ``render`` prints.
     """
     cap = _MAX_PRODUCT_TERMS * 5 // max(a.n, 5)
     size = shriek.product_size if a.kind.is_shriek else pbw.product_size
@@ -123,16 +141,8 @@ def bounded_product(a: SparseElement, b: SparseElement, comm: bool = False) -> S
         built, bits = built + terms, max(bits, width)
         if built > cap:
             raise ExpressionTooLarge(f"the product would build more than {cap} terms")
-    digits = sys.get_int_max_str_digits()  # 0 means no limit
-    if digits and bits > 3 * digits:
-        degree, low = pbw.least_partial_part(a, b)
-        if comm:  # the part of a*b - b*a in degree min(degree, other)
-            other, high = pbw.least_partial_part(b, a)
-            if other < degree:
-                low = high
-            elif other == degree:
-                low = low - high
-        _refuse_unprintable(low.coeffs.values())
+    if bits > _MAX_EXCHANGE_BITS:
+        raise ExpressionTooLarge(f"the product's exchange factors may have more than {_MAX_EXCHANGE_BITS} bits")
     out = a * b - b * a if comm else a * b
     _refuse_unprintable(out.coeffs.values())
     return out
@@ -335,39 +345,38 @@ def format_terms(parts: list[tuple[Rational, str]]) -> str:
     return "".join(pieces)
 
 
-def _text(e: SparseElement | LocalizedElement) -> str:
-    if isinstance(e, LocalizedElement):
-        if e.zpow == 0:
-            return _text(e.numerator)
-        den = "z" if e.zpow == 1 else f"z^{e.zpow}"
-        return f"({_text(e.numerator)})/{den}"
-    return format_terms([(c, key.word_str(e.n)) for key, c in e.terms()])
-
-
-def _json_dict(e: SparseElement | LocalizedElement) -> dict:
-    if isinstance(e, LocalizedElement):
-        return {"num": _json_dict(e.numerator), "zpow": e.zpow}
-    return {
-        "algebra": e.kind.value,
-        "n": e.n,
-        "terms": [{"coeff": f"{c.numerator}/{c.denominator}", **key.json_fields(e.n)} for key, c in e.terms()],
-    }
-
-
 def render(e, format: str = "text") -> str:
     """Deterministic canonical text or JSON for an element or a fraction.
 
     Accepts PBW elements, shriek elements and ``LocalizedElement``; terms
     come out in canonical order, so distinct canonical values always render
     differently.  A fraction num/z^k prints as ``num``, ``(num)/z`` or
-    ``(num)/z^k``, and in JSON as ``{"num": <element>, "zpow": k}``.
+    ``(num)/z^k``, and in JSON as ``{"num": <element>, "zpow": k}``.  A
+    coefficient, an exponent or a z power of more than ``_max_digits()``
+    digits is refused (ExpressionTooLarge) before anything is converted.
     """
     if format not in ("text", "json"):
         raise ValueError(f"unknown render format {format!r}")
     if not isinstance(e, (SparseElement, LocalizedElement)):
         raise TypeError(f"cannot render {type(e).__name__}")
-    try:
-        return _text(e) if format == "text" else json.dumps(_json_dict(e))
-    except ValueError as exc:  # Python's limit on int-to-str conversion
-        _refuse_unprintable((e.numerator if isinstance(e, LocalizedElement) else e).coeffs.values())
-        raise ExpressionTooLarge(f"an exponent has more than {sys.get_int_max_str_digits()} digits") from exc
+    num, zpow = (e.numerator, e.zpow) if isinstance(e, LocalizedElement) else (e, 0)
+    terms = num.terms()
+    _refuse_unprintable(num.coeffs.values())
+    digits, exponents = _max_digits(), [zpow]
+    # an exponent is at most its key's degree, and the leading key has the highest; only
+    # a PBW monomial's can be this long, as a B!/C! word has degree at most 2n+1
+    if terms and _too_long([terms[0][0].degree], digits):
+        exponents += [x for m, _ in terms for x in (m.zexp, *m.xexps, *m.dexps)]
+    if _too_long(exponents, digits):
+        raise ExpressionTooLarge(f"an exponent has more than {digits} digits")
+    if format == "json":
+        body = {
+            "algebra": num.kind.value,
+            "n": num.n,
+            "terms": [{"coeff": f"{c.numerator}/{c.denominator}", **key.json_fields(num.n)} for key, c in terms],
+        }
+        return json.dumps(body if num is e else {"num": body, "zpow": zpow})
+    text = format_terms([(c, key.word_str(num.n)) for key, c in terms])
+    if zpow == 0:
+        return text
+    return f"({text})/{'z' if zpow == 1 else f'z^{zpow}'}"

@@ -287,10 +287,8 @@ def word_normal_form(
 
 def _mul_monomials(m1: PBWMonomial, m2: PBWMonomial, kind: AlgebraKind, n: int):
     """Yield the (monomial, coefficient) terms of m1*m2 by the exchange identity,
-    least partial degree first: each k_i runs from min(q_i, p_i) down to 0.
-
-    Lazy on purpose: ``least_partial_part`` draws only the first term, so no
-    term and no exchange factor past it is computed.
+    one per choice of k_i from min(q_i, p_i) down to 0 at each index i where
+    d_i meets x_i.
     """
     z1, p1, q1 = m1
     z2, p2, q2 = m2
@@ -341,26 +339,6 @@ def product_size(a: AlgebraElement, b: AlgebraElement, cap: int) -> tuple[int, i
         if terms > cap:
             break
     return terms, bits
-
-
-def least_partial_part(a: AlgebraElement, b: AlgebraElement) -> tuple[int | None, AlgebraElement]:
-    """The least partial degree p of a term of ``a * b``, and the part of ``a * b`` in degree p.
-
-    A term pair reaches its least degree only through its first term in
-    ``_mul_monomials``, so this builds one term per term pair, where
-    ``multiply`` builds prod_i (min(q_i, p_i) + 1) of them.  The part is
-    exact, so it may be zero; p is None when a or b is zero.
-    """
-    a._check_compatible(b)
-    least, part = None, {}
-    for m1, c1 in a.coeffs.items():
-        for m2, c2 in b.coeffs.items():
-            m, coeff = next(_mul_monomials(m1, m2, a.kind, a.n))
-            if least is None or m.partial < least:
-                least, part = m.partial, {}
-            if m.partial == least:
-                part[m] = part.get(m, 0) + c1 * c2 * coeff
-    return least, AlgebraElement(a.kind, a.n, part)
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -37,6 +37,8 @@ Relation = dict[tuple[int, int], Rational]
 
 def generator_names(n: int) -> tuple[str, ...]:
     """The generator names by rank: the rows and columns of the relation grid."""
+    if n < 0:
+        raise ValueError(f"the pair count must be nonnegative, got {n}")
     return tuple(str(rank_generator(r, n)) for r in range(2 * n + 1))
 
 
@@ -75,7 +77,7 @@ def relations_of(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     For B(n) these are the 2n^2+n relations: x- and d-commutators, the
     mixed relations d_i (x) x_j - x_j (x) d_i - [i=j] z (x) z, and the
     z-centrality commutators.  For C(n): all commutators in 2n+1
-    variables.
+    variables.  A negative n raises ValueError.
     """
     if kind not in (AlgebraKind.B, AlgebraKind.C):
         raise ValueError(f"quadratic presentations exist for kinds B and C, not {kind.value}")
@@ -149,7 +151,8 @@ def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     generator pair (including all mixed x_i d_j), and sum_i x_i d_i + z^2.
     For C(n): squares of all generators and all anticommutators (the
     exterior algebra on 2n+1 generators).  The returned set is certified
-    to span exactly the orthogonal complement of the primal relations.
+    to span exactly the orthogonal complement of the primal relations.  A
+    negative n raises ValueError.
     """
     if kind not in (AlgebraKind.B, AlgebraKind.C):
         raise ValueError(f"dual presentations exist for kinds B and C, not {kind.value}")

@@ -204,8 +204,12 @@ def _graded_words(n: int, j: int) -> tuple[tuple[ShriekWord, ...], dict[ShriekWo
 
 
 def degree_dimensions(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> list[int]:
-    """Per-degree dimensions.  For B!: C(2n,j) + C(2n,j-1); for C!: C(2n+1,j)."""
+    """Per-degree dimensions.  For B!: C(2n,j) + C(2n,j-1); for C!: C(2n+1,j).
+
+    A non-int n raises TypeError, a negative one ValueError.
+    """
     _check_kind(kind)
+    _check_ints(n)
     if kind is AlgebraKind.C_SHRIEK:
         return [comb(2 * n + 1, j) for j in range(2 * n + 2)]
     return [comb(2 * n, j) + (comb(2 * n, j - 1) if j >= 1 else 0) for j in range(2 * n + 2)]

@@ -378,6 +378,8 @@ def _suite_center(rec: _Recorder, n: int, rng: random.Random, budget: int) -> No
     def center_span():
         for d in range(0, max_degree + 1):
             cz = centralizer(d)
+            if not cz:
+                return f"degree {d}: the read-off is empty"
             zd = PBWMonomial(d, (0,) * n, (0,) * n)
             for v in cz:
                 if set(v.coeffs) != {zd}:
@@ -930,8 +932,11 @@ def run_suite(name: str, n: int, seed: int = DEFAULT_SEED, budget: int = DEFAULT
     """Run one named suite for every pair count 1..n, deterministically.
 
     The sample stream depends only on (seed, suite name, pair count), so
-    identical arguments reproduce identical check outcomes.
+    identical arguments reproduce identical check outcomes.  A non-int n or
+    budget raises TypeError before any check runs.
     """
+    if not (isinstance(n, int) and isinstance(budget, int)):
+        raise TypeError(f"run_suite needs int n and budget, got {n!r} and {budget!r}")
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if n < 1 or n > SUITE_MAX_N:

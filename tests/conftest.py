@@ -1,6 +1,7 @@
 """Fixtures and oracle helpers shared by the test modules."""
 
 import itertools
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -134,6 +135,14 @@ def oracle_mul_monomials(m1, m2, kind, n):
             tuple(m1.xexps[i] + p2[i] - kvec[i] for i in range(n)),
             tuple(q1[i] - kvec[i] + m2.dexps[i] for i in range(n)),
         ), coeff
+
+
+@pytest.fixture
+def digit_limit():
+    """Sets the interpreter's int-to-str digit limit, ``digit_limit(k)``, and restores it after the test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture

@@ -116,24 +116,3 @@ def test_rational_product_builds_a_fraction_only_per_output_term(fraction_constr
     rational = [c for c in product.coeffs.values() if type(c) is Fraction]
     assert rational and len(fraction_constructions) == len(rational) <= len(product.coeffs)
     assert product == oracle_bilinear(_P, _Q, oracle_mul_monomials)
-
-
-def test_least_partial_part_draws_one_term_per_term_pair(monkeypatch):
-    # the full product builds 21 * 31 terms from the first pair alone; the first term
-    # takes two binomials per exchanged index, a table of exchange factors two per k
-    a = evaluate("d1^40*d2^30 + 2*d1^5", 2, B)
-    b = evaluate("x1^50*x2^20 + x1^3 + x2", 2, B)
-    drawn, binomials = [], []
-    inner, comb = pbw._mul_monomials, pbw.comb
-
-    def drawing(*args):
-        for term in inner(*args):
-            drawn.append(term)
-            yield term
-
-    monkeypatch.setattr(pbw, "_mul_monomials", drawing)
-    monkeypatch.setattr(pbw, "comb", lambda *args: binomials.append(args) or comb(*args))
-    least, part = pbw.least_partial_part(a, b)
-    assert len(drawn) == len(a.coeffs) * len(b.coeffs) == 6
-    assert len(binomials) == 2 * 6  # exchanged indices over the six pairs: 2 + 1 + 1 + 1 + 1 + 0
-    assert least == 2 and str(part) == "120*z^6*d1^2"

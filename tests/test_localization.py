@@ -335,7 +335,10 @@ def test_localized_json():
 
 
 @pytest.mark.parametrize("format", ["text", "json"])
-def test_render_refuses_an_unprintable_z_power(format):
+def test_render_refuses_an_unprintable_z_power(digit_limit, format):
     e = make(bel("x1"), 10**4300)  # 4301 digits
-    with pytest.raises(ExpressionTooLarge):
-        render(e, format)
+    for limit in (None, 0):  # an interpreter limit of 0 means no limit; the bound stays
+        if limit is not None:
+            digit_limit(limit)
+        with pytest.raises(ExpressionTooLarge, match="an exponent has more than 4300 digits"):
+            render(e, format)

@@ -444,21 +444,6 @@ def test_exchange_power_by_rewriting(k):
             assert word_normal_form([d1] * k + [x1] * k, B, 1, rng=random.Random(seed)) == got
 
 
-def test_least_partial_part_is_the_lowest_slice_of_the_product():
-    rng = random.Random(37)
-    for _ in range(200):
-        kind = rng.choice([A, B, C])
-        n = rng.choice([1, 2])
-        a, b = random_element(rng, kind, n), random_element(rng, kind, n)
-        least, part = pbw.least_partial_part(a, b)
-        if a.is_zero() or b.is_zero():
-            assert least is None and part.is_zero()
-            continue
-        product = multiply(a, b)
-        assert part == AlgebraElement(kind, n, {m: c for m, c in product.coeffs.items() if m.partial == least})
-        assert all(m.partial >= least for m in product.coeffs)
-
-
 # -- the center ---------------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from weylkit import (
 )
 from weylkit.quadratic import generator_names, relation_failure, relation_rows, relation_text
 from weylkit import linalg
+from weylkit.shriek import degree_dimensions
 
 B, C = AlgebraKind.B, AlgebraKind.C
 
@@ -26,6 +27,24 @@ def rel(*pairs):
     for u, v, c in pairs:
         out[(u, v)] = Fraction(c)
     return out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: relations_of(B, -1),
+        lambda: relations_of(C, -1),
+        lambda: dual_presentation(B, -1),
+        lambda: dual_presentation(C, -1),
+        lambda: degree_dimensions(-1),
+        lambda: degree_dimensions(-1, AlgebraKind.C_SHRIEK),
+    ],
+    ids=["relations-B", "relations-C", "dual-B", "dual-C", "dims-B!", "dims-C!"],
+)
+def test_a_negative_pair_count_is_refused(build):
+    # dual_presentation(B, -1) raised IndexError; the others returned empty results
+    with pytest.raises(ValueError, match="nonnegative"):
+        build()
 
 
 def test_relation_counts():

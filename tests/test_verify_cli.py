@@ -110,7 +110,7 @@ _CENTER_CLAIMS = ("center-dimension", "center-spanned-by-z-power", "center-read-
         (lambda m: not any(m.xexps), _CENTER_CLAIMS),  # ignores the d-exponents
         (lambda m: not any(m.dexps), _CENTER_CLAIMS),  # ignores the x-exponents
         (lambda m: True, _CENTER_CLAIMS),  # keeps every monomial of B
-        (lambda m: False, ("center-dimension", "center-read-off-commutes")),  # the span claim holds vacuously
+        (lambda m: False, _CENTER_CLAIMS),  # an empty read-off spans no z^d
     ],
     ids=["ignores-d", "ignores-x", "keeps-everything", "returns-nothing"],
 )
@@ -299,6 +299,16 @@ def test_every_suite_shares_one_n_cap(name):
 def test_suite_refuses_a_zero_budget(name):
     with pytest.raises(ValueError):
         run_suite(name, 1, budget=0)
+
+
+@pytest.mark.parametrize("n, budget", [(1, 2.5), (1.0, 10), ("1", 10), (1, None)])
+def test_suite_refuses_a_non_int_n_or_budget_before_any_check(monkeypatch, n, budget):
+    # a float budget reached the checks, which each failed with a TypeError witness
+    from weylkit import verify
+
+    monkeypatch.setattr(verify, "_Recorder", lambda *args: pytest.fail("a check ran"))
+    with pytest.raises(TypeError):
+        run_suite("pbw-laws", n, budget=budget)
 
 
 def test_report_shape():
@@ -599,17 +609,16 @@ def test_cli_n_guard_fires_before_work(capsys, verb):
     assert capsys.readouterr().err == f"error: {verb} supports 1 <= n <= {over - 1}, got {over}\n"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "(" * 300 + "x1" + ")" * 300,
-        "d1^10000000*x1^10000000",  # 10^7 + 1 terms
-        "(x1+d1+z)^40",  # s^20 * s^20 builds more than 100 000 terms
-        "2^20000",  # 6021 digits: past Python's int-to-str limit when printed
-        "4" * 4400,  # past the same limit when read
-    ],
-    ids=["deep-nesting", "huge-exponent", "huge-expansion", "huge-coefficient", "huge-literal"],
-)
+_BAD_EXPRESSIONS = {
+    "deep-nesting": "(" * 300 + "x1" + ")" * 300,
+    "huge-exponent": "d1^10000000*x1^10000000",  # 10^7 + 1 terms
+    "huge-expansion": "(x1+d1+z)^40",  # s^20 * s^20 builds more than 100 000 terms
+    "huge-coefficient": "2^20000",  # 6021 digits: past the 4300-digit bound when printed
+    "huge-literal": "4" * 4400,  # past the same bound when read
+}
+
+
+@pytest.mark.parametrize("text", list(_BAD_EXPRESSIONS.values()), ids=list(_BAD_EXPRESSIONS))
 def test_cli_refuses_bad_expression_cleanly(capsys, text):
     assert cli_main(["nf", "--n", "1", "--", text]) == 1
     err = capsys.readouterr().err
@@ -627,16 +636,12 @@ def test_cli_refuses_huge_product_before_building_it(capsys, verb):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_cli_product_guard_lets_a_cancelling_commutator_print(capsys):
+def test_cli_product_guard_lets_a_cancelling_commutator_print(capsys, digit_limit):
     # a*a holds a coefficient of 400! (869 digits), which cancels in a*a - a*a
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        assert cli_main(["comm", "--n", "1", "x1^400*d1^400", "x1^400*d1^400"]) == 0
-        assert capsys.readouterr().out == "0\n"
-        assert cli_main(["mul", "--n", "1", "x1^400*d1^400", "x1^400*d1^400"]) == 1
-    finally:
-        sys.set_int_max_str_digits(old)
+    digit_limit(640)
+    assert cli_main(["comm", "--n", "1", "x1^400*d1^400", "x1^400*d1^400"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert cli_main(["mul", "--n", "1", "x1^400*d1^400", "x1^400*d1^400"]) == 1
 
 
 def _exchange_powers(verb, n, kind="B"):
@@ -644,21 +649,26 @@ def _exchange_powers(verb, n, kind="B"):
             "*".join(f"d{i}^9" for i in range(1, n + 1)), "*".join(f"x{i}^9" for i in range(1, n + 1))]
 
 
-@pytest.fixture
-def operands_only(monkeypatch):
-    """Fails a test that multiplies a term pair of d1^9*...*d8^9 and x1^9*...*x8^9."""
+def _refuse_term_pairs_of_degree(monkeypatch, degree):
+    """Fails a test that multiplies a term pair of two monomials, both of ``degree``."""
     from weylkit import pbw
 
     multiply_pair = pbw._mul_monomials
 
     def guarded(m1, m2, kind, n):
-        # building each operand multiplies smaller monomials; a term pair of
-        # the refused product pairs the two whole operands, both of degree 72
-        if m1.degree == m2.degree == 72:
+        if m1.degree == m2.degree == degree:
             raise AssertionError("a term pair of the product was multiplied")
         return multiply_pair(m1, m2, kind, n)
 
     monkeypatch.setattr(pbw, "_mul_monomials", guarded)
+
+
+@pytest.fixture
+def operands_only(monkeypatch):
+    """Fails a test that multiplies a term pair of d1^9*...*d8^9 and x1^9*...*x8^9."""
+    # building each operand multiplies smaller monomials; a term pair of the
+    # refused product pairs the two whole operands, both of degree 72
+    _refuse_term_pairs_of_degree(monkeypatch, 72)
 
 
 @pytest.mark.parametrize("verb", ["mul", "comm"])
@@ -679,24 +689,22 @@ def _product(n, word):
     return "*".join(word.format(i=i) for i in range(1, n + 1))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # 10 000 terms, 9999! among the coefficients: nf did not end in 10 s, homogenize in 44 s
-        *([verb, "--n", "1", "d1^9999*x1^9999"] for verb in ("nf", "homogenize", "dehomogenize", "theta", "mu")),
-        # one term pair that builds 10^8 terms
-        ["nf", "--n", "8", f"({_product(8, 'd{i}^9')})*({_product(8, 'x{i}^9')})"],
-        # ... and left to right: the product up to x5^9 builds 10^5 terms (1.5 s), past the cap at n = 8
-        ["nf", "--n", "8", f"{_product(8, 'd{i}^9')}*{_product(8, 'x{i}^9')}"],
-        # 160 000 and 10^6 word pairs
-        ["mul", "--n", "400", "--algebra", "B!", _sum(400, "x{i}"), _sum(400, "d{i}")],
-        ["mul", "--n", "1000", "--algebra", "B!", _sum(1000, "x{i}"), _sum(1000, "d{i}")],
-        # 1 600 pairs of z-words, each up to 400 words: printing 0 took 15.5 s
-        ["nf", "--n", "400", "--algebra", "B!", f"({_sum(40, 'x{i}*z')})*({_sum(40, 'x{i}*z')})"],
-    ],
-    ids=["nf", "homogenize", "dehomogenize", "theta", "mu", "nf-n8", "nf-n8-unparenthesized", "mul-B!", "mul-B!-n1000",
-         "nf-B!"],
-)
+_OVERSIZED_PRODUCTS = {
+    # 10 000 terms, 9999! among the coefficients: nf did not end in 10 s, homogenize in 44 s
+    **{verb: [verb, "--n", "1", "d1^9999*x1^9999"] for verb in ("nf", "homogenize", "dehomogenize", "theta", "mu")},
+    # one term pair that builds 10^8 terms
+    "nf-n8": ["nf", "--n", "8", f"({_product(8, 'd{i}^9')})*({_product(8, 'x{i}^9')})"],
+    # ... and left to right: the product up to x5^9 builds 10^5 terms (1.5 s), past the cap at n = 8
+    "nf-n8-unparenthesized": ["nf", "--n", "8", f"{_product(8, 'd{i}^9')}*{_product(8, 'x{i}^9')}"],
+    # 160 000 and 10^6 word pairs
+    "mul-B!": ["mul", "--n", "400", "--algebra", "B!", _sum(400, "x{i}"), _sum(400, "d{i}")],
+    "mul-B!-n1000": ["mul", "--n", "1000", "--algebra", "B!", _sum(1000, "x{i}"), _sum(1000, "d{i}")],
+    # 1 600 pairs of z-words, each up to 400 words: printing 0 took 15.5 s
+    "nf-B!": ["nf", "--n", "400", "--algebra", "B!", f"({_sum(40, 'x{i}*z')})*({_sum(40, 'x{i}*z')})"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_OVERSIZED_PRODUCTS.values()), ids=list(_OVERSIZED_PRODUCTS))
 def test_cli_refuses_an_oversized_product_in_every_expression_verb(capsys, operands_only, argv):
     start = time.perf_counter()
     assert cli_main(argv) == 1
@@ -705,33 +713,38 @@ def test_cli_refuses_an_oversized_product_in_every_expression_verb(capsys, opera
     assert err.startswith("error:") and err.count("\n") == 1 and err.count("error:") == 1
 
 
+_LONG_SUM = ["nf", "--n", "1", "9" * 4300 + " + " + "9" * 4300]
+
+
 def test_cli_render_refuses_a_sum_too_long_to_print(capsys):
     # each literal has 4300 digits, which the tokenizer accepts; their sum has 4301
-    assert cli_main(["nf", "--n", "1", "9" * 4300 + " + " + "9" * 4300]) == 1
+    assert cli_main(_LONG_SUM) == 1
     assert capsys.readouterr().err == "error: a coefficient has more than 4300 digits\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["nf", "--n", "1", "--", f"(x1^{'9' * 4300})^2"],
-        ["mu", "--n", "1", "x1", "--", "-" + "9" * 4300],
-        ["mu", "--n", "1", "--json", "x1", "--", "-" + "9" * 4300],
-    ],
-    ids=["nf", "mu", "mu-json"],
-)
+_LONG_EXPONENTS = {
+    "nf": ["nf", "--n", "1", "--", f"(x1^{'9' * 4300})^2"],
+    "mu": ["mu", "--n", "1", "x1", "--", "-" + "9" * 4300],
+    "mu-json": ["mu", "--n", "1", "--json", "x1", "--", "-" + "9" * 4300],
+}
+
+
+@pytest.mark.parametrize("argv", list(_LONG_EXPONENTS.values()), ids=list(_LONG_EXPONENTS))
 def test_cli_render_names_an_exponent_too_long_to_print(capsys, argv):
     # every coefficient is 1: the long number is an x1 exponent or a z power
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == "error: an exponent has more than 4300 digits\n"
 
 
+_EXCHANGE_REFUSAL = "error: the product's exchange factors may have more than 34400 bits\n"
+
+
 def test_cli_comm_guard_reads_the_lower_product_when_it_is_lower(capsys):
-    # x1^9999*d1^9999 has partial degree 19998 only; d1^9999*x1^9999 reaches 0 with 9999!
+    # x1^9999*d1^9999 exchanges nothing; d1^9999*x1^9999 reaches 0 with 9999!
     start = time.perf_counter()
     assert cli_main(["comm", "--n", "1", "x1^9999", "d1^9999"]) == 1
     assert time.perf_counter() - start < 1
-    assert capsys.readouterr().err == "error: a coefficient has more than 4300 digits\n"
+    assert capsys.readouterr().err == _EXCHANGE_REFUSAL
 
 
 def test_cli_theta_strips_a_large_z_power_at_once(capsys):
@@ -742,16 +755,42 @@ def test_cli_theta_strips_a_large_z_power_at_once(capsys):
     assert capsys.readouterr().out == "1\n"
 
 
-def test_cli_product_guard_computes_the_least_partial_part_only_for_large_exchange_factors(capsys, monkeypatch):
-    from weylkit import pbw
+def test_cli_product_guard_refuses_on_the_exchange_bits_before_any_term_pair(capsys, monkeypatch):
+    from weylkit import normal_form, parse, render
 
-    calls = []
-    least_partial_part = pbw.least_partial_part
-    monkeypatch.setattr(pbw, "least_partial_part", lambda a, b: calls.append(1) or least_partial_part(a, b))
-    assert cli_main(["nf", "--n", "1", "(3*x1 - 2*d1 + z)^4"]) == 0  # 4 products
-    assert calls == []
-    assert cli_main(["mul", "--n", "1", "d1^9999", "x1^9999"]) == 1
-    assert calls == [1]
+    text = "(3*x1 - 2*d1 + z)^4"
+    assert cli_main(["nf", "--n", "1", text]) == 0
+    assert capsys.readouterr().out == render(normal_form(parse(text, 1, AlgebraKind.B), AlgebraKind.B)) + "\n"
+    # d1^k*x1^k prints for k <= 1548; its exchange bits, 22k, pass 8 * 4300 at k = 1564
+    _refuse_term_pairs_of_degree(monkeypatch, 1564)
+    assert cli_main(["mul", "--n", "1", "d1^1564", "x1^1564"]) == 1
+    assert capsys.readouterr().err == _EXCHANGE_REFUSAL
+
+
+_DIGIT_REFUSALS = {
+    **{f"bad-{name}": ["nf", "--n", "1", "--", text] for name, text in _BAD_EXPRESSIONS.items()},
+    **{f"huge-{verb}": [verb, "--n", "1", "d1^9999", "x1^9999"] for verb in ("mul", "comm")},
+    **{f"many-{verb}": _exchange_powers(verb, 8) for verb in ("mul", "comm")},
+    **{f"oversized-{name}": argv for name, argv in _OVERSIZED_PRODUCTS.items()},
+    "long-sum": _LONG_SUM,
+    **{f"long-exponent-{name}": argv for name, argv in _LONG_EXPONENTS.items()},
+    "comm-lower": ["comm", "--n", "1", "x1^9999", "d1^9999"],
+    "exchange-bits": ["mul", "--n", "1", "d1^1564", "x1^1564"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_DIGIT_REFUSALS.values()), ids=list(_DIGIT_REFUSALS))
+def test_cli_refusals_do_not_follow_the_interpreter_digit_limit(capsys, digit_limit, argv):
+    # an interpreter limit of 0 means no limit; the bound stays 4300 digits
+    outcomes = []
+    for limit in (None, 0):
+        if limit is not None:
+            digit_limit(limit)
+        start = time.perf_counter()
+        status = cli_main(argv)
+        assert time.perf_counter() - start < 1
+        outcomes.append((status, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 1
 
 
 @pytest.mark.parametrize("q, p", [(9, 99), (1, 200)])
