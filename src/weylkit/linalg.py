@@ -8,32 +8,36 @@ the gcd of its entries, so no step needs a Fraction.  ``rank`` and
 reduced row by its pivot, and ``det`` reads the product of the pivots,
 corrected by the row scalings.  Those quotients follow the coefficient rule
 (``generators.quotient``): a Fraction only where the pivot does not divide
-the entry.  Matrices are lists of rows; rows are lists of ints and
-Fractions.
+the entry.  Matrices are lists of rows of one length; rows are lists of
+ints and Fractions.  A row of another length raises ValueError, and an
+entry that is not an exact rational (a float, say) TypeError.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .generators import Rational, quotient
+from .generators import Rational, exact, quotient
 
 Matrix = list[list[Rational]]
 
 
 def _eliminate(rows: Matrix, ncols: int) -> tuple[list[list[int]], list[int], Rational]:
-    """Reduce the first ``ncols`` columns: (pivot rows, pivot columns, D).
+    """Reduce rows of ``ncols`` entries each: (pivot rows, pivot columns, D).
 
     Row r of the result is an integer multiple of row r of the
     reduced row echelon form; its entry in column ``pivots[r]`` is the
-    multiplier.  D is the determinant of the first ``ncols`` columns when
-    the rows make them square, and 0 when they do not or are singular.
+    multiplier.  D is the determinant when the rows make a square, and 0
+    when they do not or are singular.
     """
     work: list[list[int]] = []
     # det(work) = det(rows) * scale_num / scale_den, as the loop scales rows
     scale_num = scale_den = 1
     for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"a row has {len(row)} entries, expected {ncols}")
         if not all(type(v) is int for v in row):
+            row = [exact(v) for v in row]
             den = lcm(*(v.denominator for v in row))
             row = [v.numerator * (den // v.denominator) for v in row]
             scale_num *= den
@@ -116,7 +120,9 @@ def det(matrix: Matrix) -> Rational:
 
 
 def span_equal(rows_a: Matrix, rows_b: Matrix) -> bool:
-    """Do two row lists span the same subspace?  Exact, by mutual rank checks."""
+    """Do two row lists span the same subspace?  Exact, by mutual rank checks; two widths raise ValueError."""
+    if rows_a and rows_b and len(rows_a[0]) != len(rows_b[0]):
+        raise ValueError(f"the row lists have widths {len(rows_a[0])} and {len(rows_b[0])}")
     ra = rank(rows_a)
     rb = rank(rows_b)
     if ra != rb:

@@ -128,8 +128,7 @@ class AlgebraElement(SparseElement):
     __slots__ = ()
 
     def __init__(self, kind: AlgebraKind, n: int, coeffs: dict[PBWMonomial, Rational] | None = None):
-        if kind not in (AlgebraKind.A, AlgebraKind.B, AlgebraKind.C):
-            raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
+        _check_kind(kind)
         SparseElement.__init__(self, kind, n, coeffs)
 
     def _check_keys(self, keys) -> None:
@@ -166,6 +165,14 @@ class AlgebraElement(SparseElement):
 
     def _one(self) -> "AlgebraElement":
         return AlgebraElement.one(self.kind, self.n)
+
+
+_KINDS = (AlgebraKind.A, AlgebraKind.B, AlgebraKind.C)  # looked up once, as in shriek
+
+
+def _check_kind(kind: AlgebraKind) -> None:
+    if kind not in _KINDS:
+        raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
 
 
 # -- the rewriting kernel ----------------------------------------------------
@@ -313,6 +320,7 @@ def _mul_monomials(m1: PBWMonomial, m2: PBWMonomial, kind: AlgebraKind, n: int):
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Canonical product.  Bilinear and associative; unit is ``one``."""
+    _check_kind(a.kind)
     return a._bilinear(b, _mul_monomials)
 
 
@@ -323,6 +331,7 @@ def product_size(a: AlgebraElement, b: AlgebraElement, cap: int) -> tuple[int, i
     its left monomial and p the x-exponents of its right one.  Its exchange
     factors k! C(q, k) C(p, k) <= (q p)^k have at most the bits it adds up.
     """
+    _check_kind(a.kind)
     a._check_compatible(b)
     if a.kind is AlgebraKind.C:
         return len(a.coeffs) * len(b.coeffs), 0
@@ -350,6 +359,7 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def partial_degree(a: AlgebraElement) -> int:
     """Max total x,d exponent over the support; z contributes nothing."""
+    _check_kind(a.kind)
     if a.is_zero():
         raise ZeroElement("partial degree of the zero element is undefined")
     return max(m.partial for m in a.coeffs)
@@ -357,6 +367,7 @@ def partial_degree(a: AlgebraElement) -> int:
 
 def graded_degree(a: AlgebraElement) -> int:
     """Max graded degree over the support (all generators count 1)."""
+    _check_kind(a.kind)
     if a.is_zero():
         raise ZeroElement("graded degree of the zero element is undefined")
     return max(m.degree for m in a.coeffs)
@@ -377,8 +388,7 @@ def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
     >>> [str(m) for m in basis_of_degree(AlgebraKind.B, 1, 2)]
     ['x1^2', 'x1*d1', 'd1^2', 'z*x1', 'z*d1', 'z^2']
     """
-    if kind.is_shriek:
-        raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
+    _check_kind(kind)
     if not (isinstance(n, int) and isinstance(d, int)):
         raise TypeError(f"basis_of_degree needs int n and d, got {n!r} and {d!r}")
     if n < 0 or d < 0:
@@ -429,6 +439,7 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
 
 def z_divides(a: AlgebraElement) -> bool:
     """True iff every monomial carries z at least once (vacuously true for 0)."""
+    _check_kind(a.kind)
     return all(m.zexp >= 1 for m in a.coeffs)
 
 
@@ -438,6 +449,7 @@ def divide_by_z(a: AlgebraElement, k: int = 1) -> AlgebraElement:
     The result keeps a's kind and n and its keys are shifted copies of a's,
     so it is built by ``_like``; a ``k`` that is not an int raises TypeError.
     """
+    _check_kind(a.kind)
     if not isinstance(k, int):
         raise TypeError(f"divide_by_z needs an int k, got {k!r}")
     if k < 0:
@@ -455,6 +467,7 @@ def z_shift(a: AlgebraElement, k: int) -> AlgebraElement:
     Built by ``_like``, as ``divide_by_z`` is; a ``k`` that is not an int
     raises TypeError.
     """
+    _check_kind(a.kind)
     if not isinstance(k, int):
         raise TypeError(f"z_shift needs an int k, got {k!r}")
     if k < 0:

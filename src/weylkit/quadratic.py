@@ -7,20 +7,18 @@ complement under the pairing
     <u (x) v, u' (x) v'>  =  [u = v'] [v = u']
 
 on basis tensors (note the transposition: the left slot of one factor
-pairs against the right slot of the other).  With the bracket convention
-used by the PBW engine (d_i x_i - x_i d_i = z^2, relations written
-d (x) x - x (x) d - z (x) z), this is the convention under which the dual
-of the homogenized algebra comes out on the relations
-
-    x_i^2,  d_i^2,  all anticommutators,  sum_i x_i d_i + z^2,
-
-including the mixed anticommutators x_i d_j + d_j x_i.  The untwisted
-pairing would flip the sign of the z^2 term instead.  The structured
-presentation is never trusted: ``dual_presentation`` certifies that it
-spans the orthogonal complement and raises if it does not.  The pairing
-is nondegenerate, so that holds exactly when every structured relation
-pairs to zero with every primal relation and the structured relations
-have rank (2n+1)^2 minus the rank of the primal ones.
+pairs against the right slot of the other).  Both presentations are read
+off one list of generator pairs: the relations R of B or C are their
+commutators u (x) v - v (x) u, with - z (x) z on each d_i x_i of B (the
+PBW engine's d_i x_i - x_i d_i = z^2), and the dual relations R-perp are
+their anticommutators u (x) v + v (x) u, plus the squares and, for B, the
+loop sum_i x_i d_i + z^2.  That loop is why the pairing is twisted: the
+untwisted one would flip the sign of its z^2.  The structured dual is
+never trusted: ``dual_presentation`` certifies that it spans the
+orthogonal complement and raises if it does not.  The pairing is
+nondegenerate, so that holds exactly when every structured relation pairs
+to zero with every primal relation and the structured relations have rank
+(2n+1)^2 minus the rank of the primal ones.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import RankDeficientInput
 from .expressions import evaluate, format_terms
-from .generators import AlgebraKind, Generator, Rational, rank_generator
+from .generators import AlgebraKind, Rational, rank_generator
 
 # one relation: sparse map over ordered generator-index pairs
 Relation = dict[tuple[int, int], Rational]
@@ -40,12 +38,6 @@ def generator_names(n: int) -> tuple[str, ...]:
     if n < 0:
         raise ValueError(f"the pair count must be nonnegative, got {n}")
     return tuple(str(rank_generator(r, n)) for r in range(2 * n + 1))
-
-
-def _grid_ranks(n: int) -> tuple[list[int], list[int], int]:
-    """The grid rows of x_1..x_n, d_1..d_n and z: their ``Generator.rank``."""
-    pairs = range(1, n + 1)
-    return [Generator.x(i).rank(n) for i in pairs], [Generator.d(i).rank(n) for i in pairs], Generator.z().rank(n)
 
 
 @dataclass(frozen=True)
@@ -63,16 +55,25 @@ class DualRelationBasis:
     basis: tuple[Relation, ...]
 
 
-def _comm(u: int, v: int) -> Relation:
-    return {(u, v): 1, (v, u): -1}
+def _pairs(kind: AlgebraKind, n: int) -> list[tuple[int, int]]:
+    """The generator pairs (u, v) by rank that both presentations read, in their order.
 
-
-def _anticomm(u: int, v: int) -> Relation:
-    return {(u, v): 1, (v, u): 1}
+    Every u < v for C(n).  For B(n): the x-x and d-d pairs, the mixed pairs
+    (d_i, x_j), the only ones with u > v, then the x-z and d-z pairs.
+    """
+    g = 2 * n + 1
+    if kind is AlgebraKind.C:
+        return [(u, v) for u in range(g) for v in range(u + 1, g)]
+    xs, ds = range(n), range(n, 2 * n)
+    return (
+        [(u, v) for block in (xs, ds) for u in block for v in block if u < v]
+        + [(u, v) for u in ds for v in xs]
+        + [(u, 2 * n) for u in range(2 * n)]
+    )
 
 
 def relations_of(kind: AlgebraKind, n: int) -> QuadraticPresentation:
-    """The defining quadratic relations of B(n) or C(n).
+    """The defining quadratic relations of B(n) or C(n): the commutators of the pairs.
 
     For B(n) these are the 2n^2+n relations: x- and d-commutators, the
     mixed relations d_i (x) x_j - x_j (x) d_i - [i=j] z (x) z, and the
@@ -82,29 +83,12 @@ def relations_of(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     if kind not in (AlgebraKind.B, AlgebraKind.C):
         raise ValueError(f"quadratic presentations exist for kinds B and C, not {kind.value}")
     gens = generator_names(n)
-    x, d, z = _grid_ranks(n)
     rels: list[Relation] = []
-    if kind is AlgebraKind.C:
-        for u in range(2 * n + 1):
-            for v in range(u + 1, 2 * n + 1):
-                rels.append(_comm(u, v))
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                rels.append(_comm(x[i], x[j]))
-        for i in range(n):
-            for j in range(i + 1, n):
-                rels.append(_comm(d[i], d[j]))
-        for i in range(n):
-            for j in range(n):
-                rel = _comm(d[i], x[j])
-                if i == j:
-                    rel[(z, z)] = -1
-                rels.append(rel)
-        for i in range(n):
-            rels.append(_comm(x[i], z))
-        for i in range(n):
-            rels.append(_comm(d[i], z))
+    for u, v in _pairs(kind, n):
+        rel = {(u, v): 1, (v, u): -1}
+        if u == v + n:  # d_i x_i, listed in B(n) only
+            rel[(2 * n, 2 * n)] = -1
+        rels.append(rel)
     return QuadraticPresentation(gens, tuple(rels))
 
 
@@ -147,43 +131,25 @@ def orthogonal_complement(p: QuadraticPresentation) -> DualRelationBasis:
 def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     """The structured presentation of the Koszul dual of B(n) or C(n).
 
-    For B(n): squares of x_i and d_i, anticommutators of every distinct
-    generator pair (including all mixed x_i d_j), and sum_i x_i d_i + z^2.
-    For C(n): squares of all generators and all anticommutators (the
-    exterior algebra on 2n+1 generators).  The returned set is certified
-    to span exactly the orthogonal complement of the primal relations.  A
-    negative n raises ValueError.
+    The squares (of x_i and d_i for B(n), of every generator for C(n)),
+    the anticommutators of the pairs of ``relations_of`` (a mixed pair
+    d_i x_j of B(n) listed as x_i d_j, in the same order), and for B(n)
+    the loop sum_i x_i d_i + z^2.  For C(n) that is the exterior algebra
+    on 2n+1 generators.  The returned set is certified to span exactly the
+    orthogonal complement of the primal relations.  A negative n raises
+    ValueError.
     """
     if kind not in (AlgebraKind.B, AlgebraKind.C):
         raise ValueError(f"dual presentations exist for kinds B and C, not {kind.value}")
     gens = generator_names(n)
-    x, d, z = _grid_ranks(n)
-    rels: list[Relation] = []
-    if kind is AlgebraKind.C:
-        for u in range(2 * n + 1):
-            rels.append({(u, u): 1})
-        for u in range(2 * n + 1):
-            for v in range(u + 1, 2 * n + 1):
-                rels.append(_anticomm(u, v))
-    else:
-        for i in range(n):
-            rels.append({(x[i], x[i]): 1})
-        for i in range(n):
-            rels.append({(d[i], d[i]): 1})
-        for i in range(n):
-            for j in range(i + 1, n):
-                rels.append(_anticomm(x[i], x[j]))
-        for i in range(n):
-            for j in range(i + 1, n):
-                rels.append(_anticomm(d[i], d[j]))
-        for i in range(n):
-            for j in range(n):
-                rels.append(_anticomm(x[i], d[j]))
-        for i in range(n):
-            rels.append(_anticomm(x[i], z))
-        for i in range(n):
-            rels.append(_anticomm(d[i], z))
-        loop: Relation = {(x[i], d[i]): 1 for i in range(n)}
+    z = 2 * n
+    rels: list[Relation] = [{(u, u): 1} for u in range(z + 1 if kind is AlgebraKind.C else z)]
+    for u, v in _pairs(kind, n):
+        if u > v:  # d_i x_j reads as x_i d_j
+            u, v = u - n, v + n
+        rels.append({(u, v): 1, (v, u): 1})
+    if kind is AlgebraKind.B:
+        loop: Relation = {(i, n + i): 1 for i in range(n)}
         loop[(z, z)] = 1
         rels.append(loop)
     g = len(gens)

@@ -972,14 +972,13 @@ def _golden_data(nm: NakayamaMap) -> dict:
     }
 
 
-def compute_golden(n: int) -> dict:
-    """Golden data for one n: dims, Gram determinants, Nakayama images, scalar.
+def verified_nakayama(n: int) -> NakayamaMap:
+    """The Nakayama map of B!(n), returned only after its checks pass.
 
     The complement pairing is checked against the product
-    (``shriek.form_failure``); the Nakayama images, read off it (the tests
-    keep the Gram solve as their oracle), against the defining identity on
-    all basis pairs (``shriek.defining_identity_failure``).  So a blessed
-    file is verified output; otherwise :class:`DefiningIdentityFailure`
+    (``shriek.form_failure``); the map, read off it (the tests keep the Gram
+    solve as its oracle), against the defining identity on all basis pairs
+    (``shriek.defining_identity_failure``).  Else :class:`DefiningIdentityFailure`
     names the first failing word or pair.
     """
     u = form_failure(n)
@@ -990,7 +989,12 @@ def compute_golden(n: int) -> dict:
     if failure is not None:
         y, x = failure
         raise DefiningIdentityFailure(f"defining identity fails at ({y}, {x}); refusing to bless")
-    return _golden_data(nm)
+    return nm
+
+
+def compute_golden(n: int) -> dict:
+    """Golden data for one n: dims, Gram determinants, Nakayama images and scalar, off ``verified_nakayama(n)``."""
+    return _golden_data(verified_nakayama(n))
 
 
 def bless_golden(n: int) -> Path:

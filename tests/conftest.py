@@ -75,8 +75,8 @@ def solve(matrix, rhs):
     m = len(matrix)
     if any(len(row) != m for row in matrix) or len(rhs) != m:
         raise ValueError("matrix is not square or rhs has the wrong number of rows")
-    reduced, pivots = linalg.rref([list(row) + list(b) for row, b in zip(matrix, rhs)], m)
-    if len(pivots) != m:
+    reduced, pivots = linalg.rref([list(row) + list(b) for row, b in zip(matrix, rhs)])
+    if pivots[:m] != list(range(m)):  # only a nonsingular matrix has a pivot in each of its m columns
         raise ValueError("singular matrix")
     return [row[m:] for row in reduced]
 

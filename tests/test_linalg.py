@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from weylkit import AlgebraKind, dual_presentation, gram_matrix, nakayama, orthogonal_complement, relations_of
+from weylkit import AlgebraKind, dual_presentation, gram_matrix, nakayama, orthogonal_complement, relations_of, run_suite
 from weylkit import linalg
 from weylkit.quadratic import relation_rows
 
@@ -136,6 +136,22 @@ def test_det_of_the_empty_matrix_is_one():
     assert linalg.det([]) == 1
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: linalg.det([[1, 2]]), ValueError),  # returned 1
+        (lambda: linalg.span_equal([[1, 2]], [[1, 2, 3]]), ValueError),  # returned True
+        (lambda: linalg.nullspace([[1, 2, 3]], 2), ValueError),  # returned [[-2, 1]]
+        (lambda: linalg.rref([[1, 2], [3, 4, 5]]), ValueError),  # returned ([[1, 0], [0, 1]], [0, 1])
+        (lambda: linalg.rank([[0.5, 1]]), TypeError),  # raised AttributeError
+    ],
+    ids=["det-not-square", "span-equal-widths", "nullspace-wide-row", "rref-ragged", "rank-float"],
+)
+def test_a_matrix_it_cannot_reduce_is_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_block_kernels_sorted_by_last_entry_are_the_whole_kernel():
     # what lets a system split into independent blocks (by Z^n weight, say) be solved
     # block by block: each nullspace vector of a block-diagonal system lies in one
@@ -174,3 +190,6 @@ def test_each_system_is_eliminated_once(eliminations):
     eliminations.clear()
     nakayama(2)
     assert eliminations == []  # read off the complement pairing: nothing to eliminate
+    run_suite("dual-orthogonality", 3)
+    # per n: the complement, the B and C duals, and the involution's complement and three span ranks
+    assert len(eliminations) == 27

@@ -177,6 +177,22 @@ def test_dual_presentation_c1_exact():
     ]
 
 
+def test_b2_presentations_in_order():
+    # R lists the mixed pairs as d_i x_j and R-perp as x_i d_j, i outer in both; a dual that
+    # listed d_i x_j as x_j d_i would span the same space and pass every verify claim
+    primal, dual = relations_of(B, 2), dual_presentation(B, 2)
+    assert [relation_text(r, primal.generators) for r in primal.relations] == [
+        "x1*x2 - x2*x1", "d1*d2 - d2*d1",
+        "-x1*d1 + d1*x1 - z^2", "-x2*d1 + d1*x2", "-x1*d2 + d2*x1", "-x2*d2 + d2*x2 - z^2",
+        "x1*z - z*x1", "x2*z - z*x2", "d1*z - z*d1", "d2*z - z*d2",
+    ]
+    assert [relation_text(r, dual.generators) for r in dual.relations] == [
+        "x1^2", "x2^2", "d1^2", "d2^2", "x1*x2 + x2*x1", "d1*d2 + d2*d1",
+        "x1*d1 + d1*x1", "x1*d2 + d2*x1", "x2*d1 + d1*x2", "x2*d2 + d2*x2",
+        "x1*z + z*x1", "x2*z + z*x2", "d1*z + z*d1", "d2*z + z*d2", "x1*d1 + x2*d2 + z^2",
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dual_relation_count(n):
     assert len(dual_presentation(B, n).relations) == 2 * n * n + 3 * n + 1

@@ -27,7 +27,7 @@ from weylkit import (
     shriek_basis_of_degree,
 )
 from weylkit.shriek import NakayamaMap, ShriekWord, defining_identity_failure, multiply, top_word, rank_generator
-from weylkit import linalg, shriek
+from weylkit import linalg, pbw, shriek
 from weylkit.verify import random_shriek
 
 from conftest import oracle_apply_automorphism, solve
@@ -385,6 +385,40 @@ def test_bilinear_form_checks_compatibility():
     with pytest.raises(KindMismatch) as info:
         bilinear_form(ShriekElement.one(1), ShriekElement.one(1, AlgebraKind.C_SHRIEK))
     assert info.type is KindMismatch
+
+
+_PBW_X1 = pbw.AlgebraElement.generator(AlgebraKind.B, 1, x1)
+_SHRIEK_X1 = ShriekElement.generator(1, x1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: frobenius_functional(_PBW_X1),  # returned 0
+        lambda: shriek.product_size(_PBW_X1, _PBW_X1, 10),  # returned (1, 0)
+        lambda: multiply(_PBW_X1, _PBW_X1),
+        lambda: bilinear_form(_PBW_X1, _PBW_X1),
+        lambda: decompose(_PBW_X1),
+        lambda: apply_automorphism(nakayama(1), _PBW_X1),
+        lambda: pbw.multiply(_SHRIEK_X1, _SHRIEK_X1),
+        lambda: pbw.commutator(_SHRIEK_X1, _SHRIEK_X1),
+        lambda: pbw.product_size(_SHRIEK_X1, _SHRIEK_X1, 10),
+        lambda: pbw.partial_degree(_SHRIEK_X1),
+        lambda: pbw.graded_degree(_SHRIEK_X1),  # returned 1
+        lambda: pbw.z_divides(_SHRIEK_X1),
+        lambda: pbw.divide_by_z(_SHRIEK_X1),
+        lambda: pbw.z_shift(_SHRIEK_X1, 1),
+    ],
+    ids=[
+        "frobenius_functional", "product_size", "multiply", "bilinear_form", "decompose", "apply_automorphism",
+        "pbw.multiply", "pbw.commutator", "pbw.product_size", "pbw.partial_degree", "pbw.graded_degree",
+        "pbw.z_divides", "pbw.divide_by_z", "pbw.z_shift",
+    ],
+)
+def test_each_engine_refuses_the_other_engines_elements(call):
+    # each answered 0, (1, 0) or 1, or failed with a bare AttributeError or TypeError
+    with pytest.raises(KindMismatch):
+        call()
 
 
 def test_pairing_builds_no_element_and_one_word_product_per_word(monkeypatch):

@@ -1,6 +1,7 @@
 """Verification harness and CLI tests."""
 
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -24,6 +25,7 @@ from weylkit import (
     relations_of,
     run_suite,
 )
+from weylkit import quadratic, shriek, verify
 from weylkit.cli import _VERBS, cli_main
 from weylkit.quadratic import relation_text
 from weylkit.shriek import top_word
@@ -160,6 +162,62 @@ def test_dual_suite_catches_an_engine_off_its_presentation(monkeypatch):
         ("engines-satisfy-relations[n=1]", "x1*d1 + z^2 is not zero in C!"),
         ("engines-satisfy-relations[n=2]", "x1*d1 + x2*d2 + z^2 is not zero in C!"),
     ]
+
+
+# One-line source mutants of the presentation layer and the B! word product, each exec'd
+# into the loaded module (no file is edited) and undone by monkeypatch: (module, function,
+# line, mutated line).
+_MUTANTS = {
+    "pairs-drop-x-z": (quadratic, "_pairs", "[(u, 2 * n) for u in range(2 * n)]", "[(u, 2 * n) for u in range(n, 2 * n)]"),
+    "relations-drop-z-z": (quadratic, "relations_of", "rel[(2 * n, 2 * n)] = -1", "pass"),
+    "loop-z-z-sign": (quadratic, "dual_presentation", "loop[(z, z)] = 1", "loop[(z, z)] = -1"),
+    "pairs-mixed-orientation": (quadratic, "_pairs", "[(u, v) for u in ds for v in xs]", "[(v, u) for u in ds for v in xs]"),
+    "word-product-z-z-sign": (shriek, "_word_product", "-sign * (-1) **", "sign * (-1) **"),
+    "word-product-left-z-sign": (shriek, "_word_product", "flips = right.bit_count() if u.zflag else 0", "flips = 0"),
+    "word-product-z-z-drops-i-0": (shriek, "_word_product", "reversed(range(n))", "reversed(range(1, n))"),
+}
+
+
+def _exec_mutant(monkeypatch, module, name, line, mutated):
+    """Replace ``module.name`` by its source with ``line`` mutated, in ``verify`` too if it imports the name."""
+    original = getattr(module, name)
+    source = inspect.getsource(original)
+    assert source.count(line) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(line, mutated), module.__file__, "exec"), namespace)
+    for holder in (module, verify):  # patched in quadratic only, loop-z-z-sign fails no claim
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, namespace[name])
+
+
+_DUAL_PRESENTATION_CLAIMS = ("degree-two-dimension", "engines-satisfy-relations", "structured-dual-spans")
+
+
+@pytest.mark.parametrize(
+    "mutant, failing",
+    [
+        (None, set()),
+        ("pairs-drop-x-z", {"relation-count", "complement-dimension", *_DUAL_PRESENTATION_CLAIMS}),
+        ("relations-drop-z-z", set(_DUAL_PRESENTATION_CLAIMS)),
+        ("loop-z-z-sign", set(_DUAL_PRESENTATION_CLAIMS)),
+        ("pairs-mixed-orientation", set(_DUAL_PRESENTATION_CLAIMS)),
+        # form-is-top-coefficient reads the word product on both sides, so it catches none of these
+        ("word-product-z-z-sign", {"engines-satisfy-relations"}),
+        ("word-product-left-z-sign", {"engines-satisfy-relations", "golden-regression"}),
+        ("word-product-z-z-drops-i-0", {"engines-satisfy-relations"}),
+    ],
+    ids=["unmutated", *_MUTANTS],
+)
+def test_presentation_suites_catch_each_mutant(monkeypatch, mutant, failing):
+    if mutant is not None:
+        _exec_mutant(monkeypatch, *_MUTANTS[mutant])
+    failed = {
+        c.claim_id
+        for suite in ("dual-orthogonality", "frobenius", "shriek-dims", "nakayama", "decomposition")
+        for c in run_suite(suite, 2, budget=100).checks
+        if not c.passed
+    }
+    assert failed == {f"{claim}[n={n}]" for claim in failing for n in (1, 2)}
 
 
 def test_nakayama_suite_crash_fails_each_check_that_hits_it(monkeypatch):
@@ -405,6 +463,14 @@ def test_cli_refused_bless_is_a_named_error(tmp_path, monkeypatch, capsys, argv)
     assert out == ""
     assert err == "error: defining identity fails at (x1, d1*z); refusing to bless\n"
     assert not (tmp_path / "shriek_n1.json").exists()
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+def test_cli_nakayama_prints_only_a_verified_map(monkeypatch, capsys, form):
+    # the text form once printed the map unchecked: "sigma(x1) = 2*x1", exit status 0
+    _wrong_nakayama(monkeypatch)
+    assert cli_main(["nakayama", "--n", "2", *form]) == 1
+    assert capsys.readouterr() == ("", "error: defining identity fails at (x1, x2*d1*d2*z); refusing to bless\n")
 
 
 def test_shipped_golden_files_match():
