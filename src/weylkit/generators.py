@@ -243,13 +243,18 @@ class SparseElement:
                 c = exact(c)
             if c:
                 clean[key] = c
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", clean)
+        _set_kind(self, kind)
+        _set_n(self, n)
+        _set_coeffs(self, clean)
 
     def _check_compatible(self, other) -> None:
-        """Raise unless ``other`` is an element of the same type, n and kind."""
+        """Raise unless ``other`` is an element of the same type, n and kind.
+
+        An element of the other engine raises KindMismatch, a non-element TypeError.
+        """
         if not isinstance(other, type(self)):
+            if isinstance(other, SparseElement):
+                raise KindMismatch(f"cannot mix {self.kind.value} with {other.kind.value}")
             raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if self.n != other.n:
             raise SizeMismatch(f"pair counts differ: {self.n} vs {other.n}")
@@ -348,3 +353,7 @@ class SparseElement:
 
     def __repr__(self) -> str:
         return f"<{self.kind.value}(n={self.n}) {self}>"
+
+
+# the slots' own setters, taken once: ``_fill`` sets through them, as ``__setattr__`` raises
+_set_kind, _set_n, _set_coeffs = (SparseElement.__dict__[name].__set__ for name in SparseElement.__slots__)

@@ -8,7 +8,9 @@ the gcd of its entries, so no step needs a Fraction.  ``rank`` and
 reduced row by its pivot, and ``det`` reads the product of the pivots,
 corrected by the row scalings.  Those quotients follow the coefficient rule
 (``generators.quotient``): a Fraction only where the pivot does not divide
-the entry.  Matrices are lists of rows of one length; rows are lists of
+the entry, and only the nonzero entries are divided.  A pivot step lists
+once the rows with a nonzero entry in its column, takes the pivot from
+them and combines only them, so it costs those rows and not the matrix.  Matrices are lists of rows of one length; rows are lists of
 ints and Fractions.  A row of another length raises ValueError, and an
 entry that is not an exact rational (a float, say) TypeError.
 """
@@ -36,7 +38,7 @@ def _eliminate(rows: Matrix, ncols: int) -> tuple[list[list[int]], list[int], Ra
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"a row has {len(row)} entries, expected {ncols}")
-        if not all(type(v) is int for v in row):
+        if set(map(type, row)) - {int}:
             row = [exact(v) for v in row]
             den = lcm(*(v.denominator for v in row))
             row = [v.numerator * (den // v.denominator) for v in row]
@@ -47,18 +49,20 @@ def _eliminate(rows: Matrix, ncols: int) -> tuple[list[list[int]], list[int], Ra
     for c in range(ncols):
         if r == len(work):
             break
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
+        nonzero = [i for i, row in enumerate(work) if row[c]]
+        pivot_row = next((i for i in nonzero if i >= r), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
+        if pivot_row != r:  # row r is then zero in column c, so not in ``nonzero``
             work[r], work[pivot_row] = work[pivot_row], work[r]
             scale_num = -scale_num
         row_r = work[r]
         p = row_r[c]
-        for i, row_i in enumerate(work):
-            f = row_i[c]
-            if i == r or not f:
+        for i in nonzero:
+            if i == pivot_row:  # the pivot, or the zero row r it was swapped with
                 continue
+            row_i = work[i]
+            f = row_i[c]
             # row_i <- a * row_i - b * row_r with a = |p| / g > 0, clearing column c
             g = gcd(p, f) if p > 0 else -gcd(p, f)
             a, b = p // g, f // g
@@ -88,7 +92,9 @@ def rref(rows: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     reduced, pivots, _ = _eliminate(rows, ncols)
-    normalized = [row if row[c] == 1 else [quotient(v, row[c]) for v in row] for row, c in zip(reduced, pivots)]
+    normalized = [
+        row if row[c] == 1 else [quotient(v, row[c]) if v else 0 for v in row] for row, c in zip(reduced, pivots)
+    ]
     return normalized, pivots
 
 

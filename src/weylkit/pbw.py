@@ -419,7 +419,9 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
     product (c = z^2 for B, 1 for A, 0 for C).  Adding e_i back gives m, so
     distinct monomials have distinct targets, no combination of noncentral
     monomials is central, and the center is spanned by the monomials with
-    no x or d exponent (every monomial for C), in basis order.  A basis
+    no x or d exponent (every monomial for C), in basis order.  A degree-d
+    monomial has partial degree d - zexp, so those are the ones with
+    zexp == d, read with no sum over the exponents.  A basis
     listing a monomial twice would void that argument, so it raises
     RuntimeError before any element is built.  The central monomials are
     valid by construction, so their elements skip the key check.
@@ -432,7 +434,7 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
         twice = next(m for m, k in Counter(basis).items() if k > 1)
         raise RuntimeError(f"the degree-{d} basis lists {twice} twice")
     like = AlgebraElement.one(kind, n)._like
-    return [like({m: 1}) for m in basis if kind is AlgebraKind.C or not m.partial]
+    return [like({m: 1}) for m in basis if kind is AlgebraKind.C or m.zexp == d]
 
 
 # -- divisibility by z ---------------------------------------------------------

@@ -18,7 +18,11 @@ never trusted: ``dual_presentation`` certifies that it spans the
 orthogonal complement and raises if it does not.  The pairing is
 nondegenerate, so that holds exactly when every structured relation pairs
 to zero with every primal relation and the structured relations have rank
-(2n+1)^2 minus the rank of the primal ones.
+(2n+1)^2 minus the rank of the primal ones.  A relation touches at most
+n+1 of the (2n+1)^2 cells, so the certificate pairs through an index of
+the primal cells, each keyed under its transpose, and pays only for the
+cells two relations share; ``pairing`` stays the one definition, which
+verify's orthogonality claim reads pair by pair.
 """
 
 from __future__ import annotations
@@ -136,8 +140,11 @@ def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
     d_i x_j of B(n) listed as x_i d_j, in the same order), and for B(n)
     the loop sum_i x_i d_i + z^2.  For C(n) that is the exterior algebra
     on 2n+1 generators.  The returned set is certified to span exactly the
-    orthogonal complement of the primal relations.  A negative n raises
-    ValueError.
+    orthogonal complement of the primal relations: each primal cell (u, v)
+    is indexed under (v, u) once, each structured relation sums its
+    pairings with the primal ones through that index, and a nonzero sum,
+    or a rank other than (2n+1)^2 minus the primal rank, raises
+    RuntimeError.  A negative n raises ValueError.
     """
     if kind not in (AlgebraKind.B, AlgebraKind.C):
         raise ValueError(f"dual presentations exist for kinds B and C, not {kind.value}")
@@ -154,7 +161,20 @@ def dual_presentation(kind: AlgebraKind, n: int) -> QuadraticPresentation:
         rels.append(loop)
     g = len(gens)
     primal = relations_of(kind, n).relations
-    orthogonal = all(pairing(r, s) == 0 for r in primal for s in rels)
+    # <r, s> sums r[u, v] * s[v, u], so each primal cell (u, v) is keyed under (v, u)
+    index: dict[tuple[int, int], list[tuple[int, Rational]]] = {}
+    for j, r in enumerate(primal):
+        for (u, v), c in r.items():
+            index.setdefault((v, u), []).append((j, c))
+    orthogonal = True
+    for s in rels:
+        sums: dict[int, Rational] = {}  # <r_j, s> for each primal r_j that meets s
+        for cell, c in s.items():
+            for j, rc in index.get(cell, ()):
+                sums[j] = sums.get(j, 0) + rc * c
+        if any(sums.values()):
+            orthogonal = False
+            break
     primal_rank = linalg.rank(relation_rows(primal, g))
     if not orthogonal or linalg.rank(relation_rows(rels, g)) != g * g - primal_rank:
         raise RuntimeError(

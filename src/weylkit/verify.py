@@ -983,12 +983,12 @@ def verified_nakayama(n: int) -> NakayamaMap:
     """
     u = form_failure(n)
     if u is not None:
-        raise DefiningIdentityFailure(f"beta is not the top coefficient of the product at u = {u}; refusing to bless")
+        raise DefiningIdentityFailure(f"beta is not the top coefficient of the product at u = {u}")
     nm = nakayama(n)
     failure = defining_identity_failure(nm)
     if failure is not None:
         y, x = failure
-        raise DefiningIdentityFailure(f"defining identity fails at ({y}, {x}); refusing to bless")
+        raise DefiningIdentityFailure(f"defining identity fails at ({y}, {x})")
     return nm
 
 
@@ -998,8 +998,15 @@ def compute_golden(n: int) -> dict:
 
 
 def bless_golden(n: int) -> Path:
-    """Write ``compute_golden(n)``; a refused bless leaves the existing file as it was."""
-    data = compute_golden(n)
+    """Write ``compute_golden(n)``; a refused bless leaves the existing file as it was.
+
+    The refusal is ``verified_nakayama``'s :class:`DefiningIdentityFailure`,
+    its message ending in ``; refusing to bless``.
+    """
+    try:
+        data = compute_golden(n)
+    except DefiningIdentityFailure as refused:
+        raise DefiningIdentityFailure(f"{refused}; refusing to bless") from None
     path = golden_path(n)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

@@ -129,8 +129,10 @@ def test_pair_count_mismatch_is_a_size_mismatch():
         AlgebraElement.one(A, 1) + AlgebraElement.one(A, 3)
     with pytest.raises(SizeMismatch):
         AlgebraElement(B, 2, {PBWMonomial(0, (1,), (0,)): 1})  # a key of the wrong arity
-    with pytest.raises(TypeError):
+    with pytest.raises(KindMismatch):  # an element of the other engine, as in a product
         AlgebraElement.one(B, 1) + ShriekElement.one(1)
+    with pytest.raises(TypeError):  # not an element
+        AlgebraElement.one(B, 1) + 1
 
 
 @pytest.mark.parametrize(

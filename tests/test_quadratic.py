@@ -257,3 +257,43 @@ def test_relation_failure_catches_the_wrong_engine(n):
     dual = dual_presentation(B, n)
     assert relation_failure(dual, AlgebraKind.C_SHRIEK) == dual.relations[-1]
     assert _failing(dual, AlgebraKind.C_SHRIEK) == [dual.relations[-1]]
+
+
+def test_the_certificate_pairs_through_a_cell_index(monkeypatch, eliminations):
+    from weylkit import quadratic, verify
+    from weylkit.verify import run_suite
+
+    calls = []
+    inner = quadratic.pairing
+
+    def counting(r, s):
+        calls.append((r, s))
+        return inner(r, s)
+
+    for holder in (quadratic, verify):
+        monkeypatch.setattr(holder, "pairing", counting)
+    for kind in (B, C):
+        for n in range(1, 5):
+            eliminations.clear()
+            dual_presentation(kind, n)
+            assert len(eliminations) == 2, (kind, n)  # rank of the primal and of the dual relations
+    assert calls == []  # the literal sweep paired every relation with every one: 1 620 calls for B(4)
+    run_suite("dual-orthogonality", 2)
+    assert calls  # verify's orthogonality claim keeps the literal route
+
+
+def test_the_pairing_sweep_alone_refuses_a_primal_without_its_z_square(monkeypatch):
+    from weylkit import quadratic
+
+    inner = quadratic.relations_of
+
+    def dropped(kind, n):  # d_i x_i - x_i d_i: the ranks of both sides stay as they were
+        p = inner(kind, n)
+        rels = tuple({cell: c for cell, c in r.items() if cell != (2 * n, 2 * n)} for r in p.relations)
+        return QuadraticPresentation(p.generators, rels)
+
+    monkeypatch.setattr(quadratic, "relations_of", dropped)
+    assert linalg.rank(relation_rows(dropped(B, 2).relations, 5)) == linalg.rank(relation_rows(inner(B, 2).relations, 5))
+    with pytest.raises(RuntimeError, match="does not span the orthogonal complement"):
+        dual_presentation(B, 2)
+    dual_presentation(C, 2)  # C has no z square to drop

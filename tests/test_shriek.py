@@ -408,17 +408,28 @@ _SHRIEK_X1 = ShriekElement.generator(1, x1)
         lambda: pbw.z_divides(_SHRIEK_X1),
         lambda: pbw.divide_by_z(_SHRIEK_X1),
         lambda: pbw.z_shift(_SHRIEK_X1, 1),
+        lambda: multiply(_SHRIEK_X1, _PBW_X1),  # these three raised a bare TypeError
+        lambda: pbw.multiply(_PBW_X1, _SHRIEK_X1),
+        lambda: bilinear_form(_SHRIEK_X1, _PBW_X1),
     ],
     ids=[
         "frobenius_functional", "product_size", "multiply", "bilinear_form", "decompose", "apply_automorphism",
         "pbw.multiply", "pbw.commutator", "pbw.product_size", "pbw.partial_degree", "pbw.graded_degree",
         "pbw.z_divides", "pbw.divide_by_z", "pbw.z_shift",
+        "multiply-mixed", "pbw.multiply-mixed", "bilinear_form-mixed",
     ],
 )
 def test_each_engine_refuses_the_other_engines_elements(call):
     # each answered 0, (1, 0) or 1, or failed with a bare AttributeError or TypeError
     with pytest.raises(KindMismatch):
         call()
+
+
+@pytest.mark.parametrize("call", [multiply, pbw.multiply, bilinear_form], ids=["multiply", "pbw.multiply", "bilinear_form"])
+def test_a_non_element_operand_is_a_type_error(call):
+    left = _PBW_X1 if call is pbw.multiply else _SHRIEK_X1
+    with pytest.raises(TypeError):
+        call(left, 1)
 
 
 def test_pairing_builds_no_element_and_one_word_product_per_word(monkeypatch):
