@@ -1,9 +1,12 @@
 """Named, reproducible verification suites.
 
 Each suite binds a family of algebraic claims to executable checks over a
-deterministic sample stream derived from (seed, suite name, n).  A check
-records a claim id, the mathematical statement it tests (its anchor), a
-pass/fail status, a rendered counterexample on failure, and elapsed time.
+deterministic sample stream derived from (seed, suite name, n).  A suite
+yields each claim as ``(claim_id, anchor, probe, count)``, and ``run_suite``
+runs it at once, before the suite resumes: probes share the stream and the
+suite's state.  ``probe`` runs up to ``count`` times, until it returns a
+witness or raises.  A check records the claim id, the mathematical statement
+it tests (its anchor), the witness (pass iff none) and elapsed time.
 
 Suites: pbw-laws, center, dual-orthogonality, shriek-dims, frobenius,
 nakayama, decomposition, localization, roundtrip.
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import linalg
 from .errors import DefiningIdentityFailure, UnknownSuite, UnsupportedN
@@ -82,13 +85,16 @@ DEFAULT_BUDGET = 200
 class CheckResult:
     claim_id: str
     paper_anchor: str
-    status: str
     witness: str | None
     elapsed_millis: int
 
     @property
+    def status(self) -> str:
+        return "fail" if self.witness else "pass"
+
+    @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return not self.witness
 
 
 @dataclass
@@ -130,41 +136,6 @@ class SuiteReport:
             f"[{self.suite_name}] suite {verdict} ({len(self.checks)} checks, n in {self.n_range})"
         )
         return lines
-
-
-class _Recorder:
-    def __init__(self, report: SuiteReport, n: int):
-        self.report = report
-        self.n = n
-
-    def check(self, claim_id: str, anchor: str, fn: Callable[[], str | None]) -> None:
-        start = time.perf_counter()
-        try:
-            witness = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            witness = f"exception: {exc!r}"
-        elapsed = int((time.perf_counter() - start) * 1000)
-        self.report.checks.append(
-            CheckResult(
-                claim_id=f"{claim_id}[n={self.n}]",
-                paper_anchor=anchor,
-                status="fail" if witness else "pass",
-                witness=witness,
-                elapsed_millis=elapsed,
-            )
-        )
-
-    def sample(self, claim_id: str, anchor: str, count: int, probe: Callable[[], str | None]) -> None:
-        """Record a check that calls ``probe`` up to ``count`` times; its first witness fails it."""
-
-        def draws():
-            for _ in range(count):
-                witness = probe()
-                if witness:
-                    return witness
-            return None
-
-        self.check(claim_id, anchor, draws)
 
 
 # -- deterministic random objects -----------------------------------------------
@@ -227,7 +198,10 @@ def _word_draws(
 
 # -- individual suites ------------------------------------------------------------
 
-def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
+Claim = tuple[str, str, Callable[[], str | None], int]  # (claim_id, anchor, probe, count)
+
+
+def _suite_pbw_laws(n: int, rng: random.Random, budget: int) -> Iterator[Claim]:
     kind = AlgebraKind.B
     one = AlgebraElement.one(kind, n)
 
@@ -241,7 +215,7 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
             return f"a = {a}; b = {b}; ab = {ab}"
         return None
 
-    rec.sample("partial-additivity", "partial(ab) = partial(a) + partial(b)", budget, partial_additivity)
+    yield "partial-additivity", "partial(ab) = partial(a) + partial(b)", partial_additivity, budget
 
     def partial_subadditivity():
         a, b = nonzero_pair()
@@ -250,8 +224,8 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
             return f"a = {a}; b = {b}"
         return None
 
-    rec.sample(
-        "partial-subadditivity", "partial(a+b) <= max(partial(a), partial(b))", budget, partial_subadditivity
+    yield (
+        "partial-subadditivity", "partial(a+b) <= max(partial(a), partial(b))", partial_subadditivity, budget
     )
 
     def commutator_drop():
@@ -261,13 +235,13 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
             return f"a = {a}; b = {b}; [a,b] = {c}"
         return None
 
-    rec.sample("commutator-filtration-drop", "[F_p, F_t] lies in F_(p+t-1)", budget, commutator_drop)
+    yield "commutator-filtration-drop", "[F_p, F_t] lies in F_(p+t-1)", commutator_drop, budget
 
     def no_zero_divisors():
         a, b = nonzero_pair()
         return f"a = {a}; b = {b}" if multiply(a, b).is_zero() else None
 
-    rec.sample("no-zero-divisors", "the homogenized algebra is an integral domain", budget, no_zero_divisors)
+    yield "no-zero-divisors", "the homogenized algebra is an integral domain", no_zero_divisors, budget
 
     def graded_multiplicativity():
         da, db = rng.randint(0, 3), rng.randint(0, 3)
@@ -280,11 +254,11 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
             return f"a = {a}; b = {b}"
         return None
 
-    rec.sample(
+    yield (
         "graded-multiplicativity",
         "deg(ab) = deg(a) + deg(b) for homogeneous a, b",
-        budget,
         graded_multiplicativity,
+        budget,
     )
 
     def unit_and_bilinearity():
@@ -302,8 +276,8 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
             return f"scalar compatibility fails: a = {a}; b = {b}; lam = {lam}"
         return None
 
-    rec.sample(
-        "unit-bilinearity", "multiplication is unital and bilinear", max(budget // 4, 10), unit_and_bilinearity
+    yield (
+        "unit-bilinearity", "multiplication is unital and bilinear", unit_and_bilinearity, max(budget // 4, 10)
     )
 
     def associativity():
@@ -314,7 +288,7 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
             return f"a = {a}; b = {b}; c = {c}"
         return None
 
-    rec.sample("associativity", "(ab)c = a(bc)", budget, associativity)
+    yield "associativity", "(ab)c = a(bc)", associativity, budget
 
     def confluence():
         k = rng.choice([AlgebraKind.A, AlgebraKind.B, AlgebraKind.C])
@@ -330,8 +304,8 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
             return f"split product mismatch on {'*'.join(map(str, w)) or '1'}"
         return None
 
-    rec.sample(
-        "confluence", "randomized reduction orders yield one normal form", max(budget // 4, 20), confluence
+    yield (
+        "confluence", "randomized reduction orders yield one normal form", confluence, max(budget // 4, 20)
     )
 
     def basis_dimension():
@@ -342,7 +316,7 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
                 return f"degree {d}: {got} != C({d + 2 * n},{2 * n}) = {want}"
         return None
 
-    rec.check("basis-dimension", "PBW basis: dim B_d = C(d+2n, 2n)", basis_dimension)
+    yield "basis-dimension", "PBW basis: dim B_d = C(d+2n, 2n)", basis_dimension, 1
 
     def filtration_zero_piece():
         if partial_degree(one) != 0:
@@ -351,15 +325,15 @@ def _suite_pbw_laws(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
         in_kz = all(m.partial == 0 for m in a.coeffs)
         return f"a = {a}" if (partial_degree(a) == 0) != in_kz else None
 
-    rec.sample(
+    yield (
         "filtration-zero-piece",
         "the partial-degree-0 piece is exactly the z polynomials, and contains 1",
-        max(budget // 10, 10),
         filtration_zero_piece,
+        max(budget // 10, 10),
     )
 
 
-def _suite_center(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
+def _suite_center(n: int, rng: random.Random, budget: int) -> Iterator[Claim]:
     max_degree = 5
 
     @functools.cache  # a read-off that raises is not cached: it fails each check that asks
@@ -373,7 +347,7 @@ def _suite_center(rec: _Recorder, n: int, rng: random.Random, budget: int) -> No
                 return f"degree {d}: dimension {len(cz)}"
         return None
 
-    rec.check("center-dimension", "the center is K[z]: one dimension per degree", center_dims)
+    yield "center-dimension", "the center is K[z]: one dimension per degree", center_dims, 1
 
     def center_span():
         for d in range(0, max_degree + 1):
@@ -386,7 +360,7 @@ def _suite_center(rec: _Recorder, n: int, rng: random.Random, budget: int) -> No
                     return f"degree {d}: basis vector {v} is not a multiple of z^{d}"
         return None
 
-    rec.check("center-spanned-by-z-power", "the degree-d center is spanned by z^d", center_span)
+    yield "center-spanned-by-z-power", "the degree-d center is spanned by z^d", center_span, 1
 
     # the read-off makes no product; this claim checks it against the product
     gens = [AlgebraElement.generator(AlgebraKind.B, n, rank_generator(r, n)) for r in range(2 * n + 1)]
@@ -400,15 +374,15 @@ def _suite_center(rec: _Recorder, n: int, rng: random.Random, budget: int) -> No
                 return f"{m} is in the degree-{d} read-off, but [{m}, {g}] = {c}" if listed else None
         return None if listed else f"{m} commutes with every generator but is not in the degree-{d} read-off"
 
-    rec.sample(
+    yield (
         "center-read-off-commutes",
         "a basis monomial is read off as central iff it commutes with every generator",
-        max(budget // 10, 10),
         read_off_matches_commutators,
+        max(budget // 10, 10),
     )
 
 
-def _suite_dual(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
+def _suite_dual(n: int, rng: random.Random, budget: int) -> Iterator[Claim]:
     B, C = AlgebraKind.B, AlgebraKind.C
 
     # each object is built once per n, as in _suite_center
@@ -420,6 +394,10 @@ def _suite_dual(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None
     def complement() -> DualRelationBasis:
         return orthogonal_complement(primal())
 
+    @functools.cache  # unlike R alone at n <= 2, its elimination combines rows
+    def double_complement() -> DualRelationBasis:
+        return orthogonal_complement(QuadraticPresentation(primal().generators, complement().basis))
+
     @functools.cache
     def dual(kind: AlgebraKind) -> QuadraticPresentation:
         return dual_presentation(kind, n)
@@ -429,51 +407,52 @@ def _suite_dual(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None
         want = 2 * n * n + n
         return None if got == want else f"{got} != {want}"
 
-    rec.check("relation-count", "B(n) has 2n^2+n quadratic relations", relation_count)
+    yield "relation-count", "B(n) has 2n^2+n quadratic relations", relation_count, 1
 
     def complement_dimension():
         comp = complement()
         want = 2 * n * n + 3 * n + 1
         return None if len(comp.basis) == want else f"{len(comp.basis)} != {want}"
 
-    rec.check("complement-dimension", "dim of the dual relation space is 2n^2+3n+1", complement_dimension)
+    yield "complement-dimension", "dim of the dual relation space is 2n^2+3n+1", complement_dimension, 1
 
     def rank_nullity():
         total = len(primal().relations) + len(complement().basis)
         want = (2 * n + 1) ** 2
         return None if total == want else f"{total} != {want}"
 
-    rec.check("rank-nullity", "dim R + dim R-perp = (2n+1)^2", rank_nullity)
+    yield "rank-nullity", "dim R + dim R-perp = (2n+1)^2", rank_nullity, 1
 
     def orthogonality():
-        p, comp = primal(), complement()
-        for r in p.relations:
-            for s in comp.basis:
-                if pairing(r, s) != 0:
-                    return f"pairing gives {pairing(r, s)}"
+        comp = complement().basis
+        for left, right in ((primal().relations, comp), (comp, double_complement().basis)):
+            for r in left:
+                for s in right:
+                    if pairing(r, s) != 0:
+                        return f"pairing gives {pairing(r, s)}"
         return None
 
-    rec.check("orthogonality", "relations pair to zero with the dual relations", orthogonality)
+    yield "orthogonality", "relations pair to zero with the dual relations", orthogonality, 1
 
     def structured_span():
         dual(B)  # certifies internally
         dual(C)
         return None
 
-    rec.check(
+    yield (
         "structured-dual-spans",
         "squares, anticommutators and sum x_i d_i + z^2 span the complement",
         structured_span,
+        1,
     )
 
     def involution():
         p = primal()
-        back = orthogonal_complement(QuadraticPresentation(p.generators, complement().basis))
         g = len(p.generators)
-        ok = linalg.span_equal(relation_rows(back.basis, g), relation_rows(p.relations, g))
+        ok = linalg.span_equal(relation_rows(double_complement().basis, g), relation_rows(p.relations, g))
         return None if ok else "double complement differs from the relation span"
 
-    rec.check("involution", "the orthogonal complement is an involution", involution)
+    yield "involution", "the orthogonal complement is an involution", involution, 1
 
     def presented():  # each engine with the presentation it should satisfy
         return (B, primal(B)), (C, primal(C)), (AlgebraKind.B_SHRIEK, dual(B)), (AlgebraKind.C_SHRIEK, dual(C))
@@ -484,7 +463,7 @@ def _suite_dual(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None
                 return f"{relation_text(rel, p.generators)} is not zero in {kind.value}"
         return None
 
-    rec.check("engines-satisfy-relations", "B and C satisfy R; B! and C! satisfy R-perp", engines_satisfy_relations)
+    yield "engines-satisfy-relations", "B and C satisfy R; B! and C! satisfy R-perp", engines_satisfy_relations, 1
 
     def degree_two_dimension():
         for kind, p in presented():
@@ -493,10 +472,10 @@ def _suite_dual(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None
                 return f"{kind.value}: {got} != {(2 * n + 1) ** 2} - {len(p.relations)}"
         return None
 
-    rec.check("degree-two-dimension", "dim of degree 2 is (2n+1)^2 minus the relation count", degree_two_dimension)
+    yield "degree-two-dimension", "dim of degree 2 is (2n+1)^2 minus the relation count", degree_two_dimension, 1
 
 
-def _suite_shriek_dims(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
+def _suite_shriek_dims(n: int, rng: random.Random, budget: int) -> Iterator[Claim]:
     words = shriek_basis(n)
 
     def dims():
@@ -506,19 +485,19 @@ def _suite_shriek_dims(rec: _Recorder, n: int, rng: random.Random, budget: int) 
             return f"{got} != {formula}"
         return None
 
-    rec.check("degree-dimensions", "dim (B!)_j = C(2n,j) + C(2n,j-1)", dims)
+    yield "degree-dimensions", "dim (B!)_j = C(2n,j) + C(2n,j-1)", dims, 1
 
     def palindrome():
         got = degree_dimensions(n)
         return None if got == got[::-1] else f"{got}"
 
-    rec.check("dimension-palindrome", "dim (B!)_j = dim (B!)_(2n+1-j)", palindrome)
+    yield "dimension-palindrome", "dim (B!)_j = dim (B!)_(2n+1-j)", palindrome, 1
 
     def total():
         want = 2 ** (2 * n + 1)
         return None if len(words) == want else f"{len(words)} != {want}"
 
-    rec.check("total-dimension", "dim B! = 2^(2n+1)", total)
+    yield "total-dimension", "dim B! = 2^(2n+1)", total, 1
 
     def split():
         zfree = sum(1 for w in words if w.zflag == 0)
@@ -526,7 +505,7 @@ def _suite_shriek_dims(rec: _Recorder, n: int, rng: random.Random, budget: int) 
         want = 2 ** (2 * n)
         return None if zfree == zfull == want else f"{zfree}, {zfull} != {want}"
 
-    rec.check("free-rank-two-split", "B! is free of rank two over its z-free subalgebra", split)
+    yield "free-rank-two-split", "B! is free of rank two over its z-free subalgebra", split, 1
 
     # the quantum-PBW statement at desk scale: word reduction is
     # confluent, so the square-free words really are a basis
@@ -537,11 +516,11 @@ def _suite_shriek_dims(rec: _Recorder, n: int, rng: random.Random, budget: int) 
             return f"word {'*'.join(map(str, word)) or '1'}"
         return None
 
-    rec.sample(
+    yield (
         "reduction-confluence",
         "quantum-PBW: randomized shriek reductions agree",
-        max(budget // 4, 20),
         reduction_confluence,
+        max(budget // 4, 20),
     )
 
     def shriek_associativity():
@@ -550,17 +529,17 @@ def _suite_shriek_dims(rec: _Recorder, n: int, rng: random.Random, budget: int) 
             return f"a = {a}; b = {b}; c = {c}"
         return None
 
-    rec.sample("shriek-associativity", "(ab)c = a(bc) in B!", budget, shriek_associativity)
+    yield "shriek-associativity", "(ab)c = a(bc) in B!", shriek_associativity, budget
 
 
-def _suite_frobenius(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
+def _suite_frobenius(n: int, rng: random.Random, budget: int) -> Iterator[Claim]:
     def gram_invertible():
         for j in range(0, 2 * n + 2):
             if linalg.det(gram_matrix(n, j)) == 0:
                 return f"gram({n},{j}) is singular"
         return None
 
-    rec.check("gram-invertible", "the Frobenius form is nondegenerate in every degree", gram_invertible)
+    yield "gram-invertible", "the Frobenius form is nondegenerate in every degree", gram_invertible, 1
 
     draw, count = _word_draws(rng, n, 3, budget)
 
@@ -570,7 +549,7 @@ def _suite_frobenius(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
             return f"a = {a}; b = {b}; c = {c}"
         return None
 
-    rec.sample("form-associativity", "beta(ab, c) = beta(a, bc)", count, form_associativity)
+    yield "form-associativity", "beta(ab, c) = beta(a, bc)", form_associativity, count
 
     def unit_pairing():
         one = ShriekElement.one(n)
@@ -579,16 +558,16 @@ def _suite_frobenius(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
             return "beta(1, top) != 1"
         return None
 
-    rec.check("top-pairing-unit", "beta(1, top word) = 1", unit_pairing)
+    yield "top-pairing-unit", "beta(1, top word) = 1", unit_pairing, 1
 
     def form_is_top_coefficient():
         u = form_failure(n)
         return None if u is None else f"u = {u}"
 
-    rec.check("form-is-top-coefficient", "beta(u, v) is the top coefficient of uv", form_is_top_coefficient)
+    yield "form-is-top-coefficient", "beta(u, v) is the top coefficient of uv", form_is_top_coefficient, 1
 
 
-def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
+def _suite_nakayama(n: int, rng: random.Random, budget: int) -> Iterator[Claim]:
     words = shriek_basis(n)
 
     @functools.cache  # one map for every check; read off the pairing, it raises nothing
@@ -602,7 +581,7 @@ def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
         y, x = failure
         return f"y = {y}; x = {x}"
 
-    rec.check("defining-identity", "beta(sigma(y), x) = beta(x, y)", defining_identity)
+    yield "defining-identity", "beta(sigma(y), x) = beta(x, y)", defining_identity, 1
 
     draw, count = _word_draws(rng, n, 2, budget)
 
@@ -613,7 +592,7 @@ def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
             return f"a = {a}; b = {b}"
         return None
 
-    rec.sample("multiplicativity", "sigma(uv) = sigma(u) sigma(v)", count, multiplicativity)
+    yield "multiplicativity", "sigma(uv) = sigma(u) sigma(v)", multiplicativity, count
 
     def graded():
         nm = sigma()
@@ -624,7 +603,7 @@ def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
                 return f"word {e} maps to {img}"
         return None
 
-    rec.check("graded", "sigma preserves the grading and is bijective per degree", graded)
+    yield "graded", "sigma preserves the grading and is bijective per degree", graded, 1
 
     def z_eigen():
         nm = sigma()
@@ -634,7 +613,7 @@ def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
             return str(exc)
         return None if k != 0 else "sigma(z) = 0"
 
-    rec.check("z-eigenvector", "sigma(z) = k z with k nonzero", z_eigen)
+    yield "z-eigenvector", "sigma(z) = k z with k nonzero", z_eigen, 1
 
     def z_free_restriction():
         for name, img in sigma().images.items():
@@ -644,7 +623,7 @@ def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
                 return f"sigma({name}) = {img} has a z component"
         return None
 
-    rec.check("z-free-restriction", "sigma restricts to the z-free subalgebra", z_free_restriction)
+    yield "z-free-restriction", "sigma restricts to the z-free subalgebra", z_free_restriction, 1
 
     def golden_regression():
         stored = load_golden(n)
@@ -656,10 +635,10 @@ def _suite_nakayama(rec: _Recorder, n: int, rng: random.Random, budget: int) -> 
             return f"golden mismatch in fields {diffs}"
         return None
 
-    rec.check("golden-regression", "Nakayama data matches the blessed golden values", golden_regression)
+    yield "golden-regression", "Nakayama data matches the blessed golden values", golden_regression, 1
 
 
-def _suite_decomposition(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
+def _suite_decomposition(n: int, rng: random.Random, budget: int) -> Iterator[Claim]:
     words = shriek_basis(n)
     zfree = [w for w in words if w.zflag == 0]
     zwords = [w for w in words if w.zflag == 1]
@@ -677,7 +656,7 @@ def _suite_decomposition(rec: _Recorder, n: int, rng: random.Random, budget: int
                 return f"element {e}"
         return None
 
-    rec.check("parts-sum", "B! = (z-free part) + (z part)", parts_sum)
+    yield "parts-sum", "B! = (z-free part) + (z part)", parts_sum, 1
 
     def idempotent():
         e = random_shriek(rng, n, words)
@@ -685,7 +664,7 @@ def _suite_decomposition(rec: _Recorder, n: int, rng: random.Random, budget: int
         zero = ShriekElement(n)
         return f"element {e}" if decompose(c) != (c, zero) or decompose(zp) != (zero, zp) else None
 
-    rec.sample("projection-idempotent", "both projections are idempotent", budget, idempotent)
+    yield "projection-idempotent", "both projections are idempotent", idempotent, budget
 
     def subalgebra_closure():
         elements = [ShriekElement.of_basis(n, {u: 1}) for u in zfree]
@@ -696,13 +675,13 @@ def _suite_decomposition(rec: _Recorder, n: int, rng: random.Random, budget: int
                     return f"{u} * {v} = {prod}"
         return None
 
-    rec.check("subalgebra-closure", "the z-free words form a closed subalgebra", subalgebra_closure)
+    yield "subalgebra-closure", "the z-free words form a closed subalgebra", subalgebra_closure, 1
 
     def dimensions():
         want = 2 ** (2 * n)
         return None if len(zfree) == len(zwords) == want else f"{len(zfree)}, {len(zwords)}"
 
-    rec.check("rank-two-dimensions", "both summands have dimension 2^(2n)", dimensions)
+    yield "rank-two-dimensions", "both summands have dimension 2^(2n)", dimensions, 1
 
     def z_span_change_of_basis():
         zel = ShriekElement.generator(n, Generator.z())
@@ -720,10 +699,11 @@ def _suite_decomposition(rec: _Recorder, n: int, rng: random.Random, budget: int
             return "left multiplication by z misses part of the z span"
         return None
 
-    rec.check(
+    yield (
         "z-span-change-of-basis",
         "z * (z-free basis) hits each z word exactly once, up to sign",
         z_span_change_of_basis,
+        1,
     )
 
     def bimodule_closure():
@@ -734,12 +714,12 @@ def _suite_decomposition(rec: _Recorder, n: int, rng: random.Random, budget: int
                 return f"c = {c}; w = {w}; product {prod}"
         return None
 
-    rec.sample(
-        "bimodule-closure", "multiplication by z-free elements preserves the z span", budget, bimodule_closure
+    yield (
+        "bimodule-closure", "multiplication by z-free elements preserves the z span", bimodule_closure, budget
     )
 
 
-def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
+def _suite_localization(n: int, rng: random.Random, budget: int) -> Iterator[Claim]:
     B, A = AlgebraKind.B, AlgebraKind.A
     zminus1 = AlgebraElement.generator(B, n, Generator.z()) - AlgebraElement.one(B, n)
 
@@ -752,8 +732,8 @@ def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int)
             return f"additivity: a = {a}; b = {b}"
         return None
 
-    rec.sample(
-        "dehomogenize-ring-hom", "z -> 1 is a ring homomorphism onto the Weyl algebra", budget, ring_hom
+    yield (
+        "dehomogenize-ring-hom", "z -> 1 is a ring homomorphism onto the Weyl algebra", ring_hom, budget
     )
 
     def kernel_characterization():
@@ -767,7 +747,7 @@ def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int)
             return f"characterization fails on {a}"
         return None
 
-    rec.sample("kernel-characterization", "ker(z -> 1) = (z - 1) B", budget, kernel_characterization)
+    yield "kernel-characterization", "ker(z -> 1) = (z - 1) B", kernel_characterization, budget
 
     def round_trips():
         a = random_element(rng, A, n, max_partial=6)
@@ -778,7 +758,7 @@ def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int)
             return f"homogenize({a}) is not homogeneous of degree {k}"
         return None
 
-    rec.sample("round-trip-dehom-homog", "dehomogenize(homogenize(a)) = a", budget, round_trips)
+    yield "round-trip-dehom-homog", "dehomogenize(homogenize(a)) = a", round_trips, budget
 
     def fraction_laws():
         a = loc.make(random_element(rng, B, n), rng.randint(0, 3))
@@ -798,7 +778,7 @@ def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int)
             return f"product not well defined: {a}, {b}"
         return None
 
-    rec.sample("fraction-laws", "cross-multiplication equality is a congruence", budget, fraction_laws)
+    yield "fraction-laws", "cross-multiplication equality is a congruence", fraction_laws, budget
 
     def theta_iso():
         a = random_element(rng, A, n, max_partial=6)
@@ -813,11 +793,11 @@ def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int)
             return f"additivity fails on {a}, {b}"
         return None
 
-    rec.sample(
+    yield (
         "theta-isomorphism",
         "theta: degree-zero part -> Weyl algebra is a ring isomorphism",
-        budget,
         theta_iso,
+        budget,
     )
 
     def mu_multiplicative():
@@ -828,7 +808,7 @@ def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int)
         rhs = loc.mu(multiply(a, b), s + t)
         return f"a = {a}; b = {b}; s = {s}; t = {t}" if lhs != rhs else None
 
-    rec.sample("mu-multiplicative", "mu(a,s) mu(b,t) = mu(ab, s+t)", budget, mu_multiplicative)
+    yield "mu-multiplicative", "mu(a,s) mu(b,t) = mu(ab, s+t)", mu_multiplicative, budget
 
     def degree_additivity():
         da, db = rng.randint(0, 3), rng.randint(0, 3)
@@ -839,7 +819,7 @@ def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int)
         p = loc.loc_multiply(a, b)
         return f"a = {a}; b = {b}; product {p}" if p.degree() != a.degree() + b.degree() else None
 
-    rec.sample("degree-additivity", "degrees of homogeneous fractions add", budget, degree_additivity)
+    yield "degree-additivity", "degrees of homogeneous fractions add", degree_additivity, budget
 
     def z_torsion_free():
         a = random_element(rng, B, n, nonzero=True)
@@ -853,15 +833,15 @@ def _suite_localization(rec: _Recorder, n: int, rng: random.Random, budget: int)
             b = divide_by_z(b)
         return None if b == a else f"divide_by_z does not invert z multiplication on {a}"
 
-    rec.sample(
+    yield (
         "z-torsion-free",
         "no z torsion at element level: z^k a = 0 only for a = 0",
-        budget,
         z_torsion_free,
+        budget,
     )
 
 
-def _suite_roundtrip(rec: _Recorder, n: int, rng: random.Random, budget: int) -> None:
+def _suite_roundtrip(n: int, rng: random.Random, budget: int) -> Iterator[Claim]:
     words = shriek_basis(n)
 
     def pbw_roundtrip():
@@ -871,7 +851,7 @@ def _suite_roundtrip(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
         back = normal_form(parse(text, n, kind), kind)
         return f"{text} -> {back}" if back != e else None
 
-    rec.sample("parse-render-pbw", "parse after render recovers every canonical element", budget, pbw_roundtrip)
+    yield "parse-render-pbw", "parse after render recovers every canonical element", pbw_roundtrip, budget
 
     def shriek_roundtrip():
         kind = rng.choice([AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK])
@@ -880,7 +860,7 @@ def _suite_roundtrip(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
         back = reduce_expression(parse(text, n, kind), kind)
         return f"{text} -> {back}" if back != e else None
 
-    rec.sample("parse-render-shriek", "round trip through text for shriek elements", budget, shriek_roundtrip)
+    yield "parse-render-shriek", "round trip through text for shriek elements", shriek_roundtrip, budget
 
     seen: dict[str, AlgebraElement] = {}
 
@@ -892,7 +872,7 @@ def _suite_roundtrip(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
         seen[text] = e
         return None
 
-    rec.sample("render-injective", "distinct canonical elements render differently", budget, injectivity)
+    yield "render-injective", "distinct canonical elements render differently", injectivity, budget
 
     def json_shape():
         e = random_element(rng, AlgebraKind.B, n, nonzero=True)
@@ -908,10 +888,10 @@ def _suite_roundtrip(rec: _Recorder, n: int, rng: random.Random, budget: int) ->
                 return "wrong exponent vector length"
         return None
 
-    rec.check("json-shape", "JSON form carries algebra, n and canonical terms", json_shape)
+    yield "json-shape", "JSON form carries algebra, n and canonical terms", json_shape, 1
 
 
-_SUITES: dict[str, Callable[[_Recorder, int, random.Random, int], None]] = {
+_SUITES: dict[str, Callable[[int, random.Random, int], Iterator[Claim]]] = {
     "pbw-laws": _suite_pbw_laws,
     "center": _suite_center,
     "dual-orthogonality": _suite_dual,
@@ -948,7 +928,16 @@ def run_suite(name: str, n: int, seed: int = DEFAULT_SEED, budget: int = DEFAULT
     share = max(budget // len(n_values), 1)
     for ni in n_values:
         rng = random.Random(f"{name}:{seed}:{ni}")
-        _SUITES[name](_Recorder(report, ni), ni, rng, share)
+        for claim_id, anchor, probe, count in _SUITES[name](ni, rng, share):
+            start, witness = time.perf_counter(), None
+            try:
+                for _ in range(count):
+                    if witness := probe():
+                        break
+            except Exception as exc:  # a crashed check is a failed check
+                witness = f"exception: {exc!r}"
+            elapsed = int((time.perf_counter() - start) * 1000)
+            report.checks.append(CheckResult(f"{claim_id}[n={ni}]", anchor, witness, elapsed))
     return report
 
 

@@ -25,7 +25,7 @@ from weylkit import (
     relations_of,
     run_suite,
 )
-from weylkit import linalg, quadratic, shriek, verify
+from weylkit import linalg, pbw, quadratic, shriek, verify
 from weylkit.cli import _VERBS, cli_main
 from weylkit.quadratic import relation_text
 from weylkit.shriek import top_word
@@ -144,7 +144,7 @@ def test_dual_suite_builds_each_presentation_once(monkeypatch):
     counting(verify, "dual_presentation")
     counting(linalg, "_eliminate")
     assert run_suite("dual-orthogonality", 3).passed
-    # per n: one complement, the B and C duals and the involution's double complement
+    # per n: one complement, the B and C duals and the double complement that orthogonality and involution share
     assert calls.count("orthogonal_complement") == 6
     assert calls.count("dual_presentation") == 6
     assert calls.count("_eliminate") == 27
@@ -218,14 +218,14 @@ _DUAL_PRESENTATION_CLAIMS = _at("degree-two-dimension", "engines-satisfy-relatio
         ("word-product-z-z-sign", _at("engines-satisfy-relations")),
         ("word-product-left-z-sign", _at("engines-satisfy-relations", "golden-regression")),
         ("word-product-z-z-drops-i-0", _at("engines-satisfy-relations")),
-        # orthogonality, a kernel checked by pairings, misses the first two elimination faults
-        ("eliminate-combination-sign", _at("involution")),
-        ("eliminate-keeps-rows-above", _at("involution")),
+        # orthogonality catches these through the double complement: reducing R alone combines no rows at n <= 2
+        ("eliminate-combination-sign", _at("involution", "orthogonality")),
+        ("eliminate-keeps-rows-above", _at("involution", "orthogonality")),
         (
             "eliminate-drops-swap",
-            _at("complement-dimension", "orthogonality", "rank-nullity", ns=(2,))
+            _at("complement-dimension", "rank-nullity", ns=(2,))
             | _at("engines-satisfy-relations", "degree-two-dimension", "golden-regression", "gram-invertible",
-                  "involution", "structured-dual-spans"),
+                  "involution", "orthogonality", "structured-dual-spans"),
         ),
     ],
     ids=["unmutated", *_MUTANTS],
@@ -236,6 +236,37 @@ def test_presentation_suites_catch_each_mutant(monkeypatch, mutant, failing):
     failed = {
         c.claim_id
         for suite in ("dual-orthogonality", "frobenius", "shriek-dims", "nakayama", "decomposition")
+        for c in run_suite(suite, 2, budget=100).checks
+        if not c.passed
+    }
+    assert failed == failing
+
+
+# One-line mutants of the closed-form PBW product, patched as _MUTANTS are.
+_PRODUCT_MUTANTS = {
+    "mul-drops-factorial": (pbw, "_mul_monomials", " * factorial(k)", ""),
+    "mul-caps-k-at-1": (pbw, "_mul_monomials", "range(min(q1[i], p2[i]), -1, -1)", "range(min(q1[i], p2[i], 1), -1, -1)"),
+    "mul-drops-z-step": (pbw, "_mul_monomials", "z_step = 2 if kind is AlgebraKind.B else 0", "z_step = 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "mutant, failing",
+    [
+        (None, set()),
+        # two product faults are caught only by one sampled claim at n = 1; the pins follow the sample stream
+        ("mul-drops-factorial", {"associativity[n=1]"}),
+        ("mul-caps-k-at-1", {"associativity[n=1]"}),
+        ("mul-drops-z-step", {"confluence[n=2]"} | _at("mu-multiplicative", "theta-isomorphism")),
+    ],
+    ids=["unmutated", *_PRODUCT_MUTANTS],
+)
+def test_product_suites_catch_each_mutant(monkeypatch, mutant, failing):
+    if mutant is not None:
+        _exec_mutant(monkeypatch, *_PRODUCT_MUTANTS[mutant])
+    failed = {
+        c.claim_id
+        for suite in ("pbw-laws", "center", "localization", "roundtrip")
         for c in run_suite(suite, 2, budget=100).checks
         if not c.passed
     }
@@ -384,11 +415,44 @@ def test_suite_refuses_a_zero_budget(name):
 @pytest.mark.parametrize("n, budget", [(1, 2.5), (1.0, 10), ("1", 10), (1, None)])
 def test_suite_refuses_a_non_int_n_or_budget_before_any_check(monkeypatch, n, budget):
     # a float budget reached the checks, which each failed with a TypeError witness
-    from weylkit import verify
+    def entered(*args):
+        pytest.fail("a suite was entered")
+        yield
 
-    monkeypatch.setattr(verify, "_Recorder", lambda *args: pytest.fail("a check ran"))
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(verify._SUITES, name, entered)
     with pytest.raises(TypeError):
         run_suite("pbw-laws", n, budget=budget)
+
+
+def test_runner_draws_each_claim_until_its_first_witness(monkeypatch):
+    calls = {"passes": 0, "fails": 0, "once": 0}
+
+    def probe(name, witness=None):
+        def run():
+            calls[name] += 1
+            return witness(calls[name]) if witness else None
+        return run
+
+    def crash():
+        raise RuntimeError("probe down")
+
+    def stub(n, rng, budget):
+        yield "passes", "a passing probe runs count times", probe("passes"), 5
+        third = probe("fails", lambda k: f"draw {k}" if k == 3 else None)
+        yield "fails", "a failing probe stops at its first witness", third, 5
+        yield "crashes", "a raising probe fails with its exception", crash, 5
+        yield "once", "count 1 is a single check", probe("once"), 1
+
+    monkeypatch.setitem(verify._SUITES, "stub", stub)
+    report = run_suite("stub", 1)
+    assert calls == {"passes": 5, "fails": 3, "once": 1}
+    assert [(c.claim_id, c.status, c.witness) for c in report.checks] == [
+        ("passes[n=1]", "pass", None),
+        ("fails[n=1]", "fail", "draw 3"),
+        ("crashes[n=1]", "fail", "exception: RuntimeError('probe down')"),
+        ("once[n=1]", "pass", None),
+    ]
 
 
 def test_report_shape():
