@@ -414,14 +414,7 @@ def _suite_dual(n: int, rng: random.Random, budget: int) -> Iterator[Claim]:
         want = 2 * n * n + 3 * n + 1
         return None if len(comp.basis) == want else f"{len(comp.basis)} != {want}"
 
-    yield "complement-dimension", "dim of the dual relation space is 2n^2+3n+1", complement_dimension, 1
-
-    def rank_nullity():
-        total = len(primal().relations) + len(complement().basis)
-        want = (2 * n + 1) ** 2
-        return None if total == want else f"{total} != {want}"
-
-    yield "rank-nullity", "dim R + dim R-perp = (2n+1)^2", rank_nullity, 1
+    yield "complement-dimension", "dim R-perp = 2n^2+3n+1, so dim R + dim R-perp = (2n+1)^2", complement_dimension, 1
 
     def orthogonality():
         comp = complement().basis
@@ -485,27 +478,15 @@ def _suite_shriek_dims(n: int, rng: random.Random, budget: int) -> Iterator[Clai
             return f"{got} != {formula}"
         return None
 
-    yield "degree-dimensions", "dim (B!)_j = C(2n,j) + C(2n,j-1)", dims, 1
-
-    def palindrome():
-        got = degree_dimensions(n)
-        return None if got == got[::-1] else f"{got}"
-
-    yield "dimension-palindrome", "dim (B!)_j = dim (B!)_(2n+1-j)", palindrome, 1
-
-    def total():
-        want = 2 ** (2 * n + 1)
-        return None if len(words) == want else f"{len(words)} != {want}"
-
-    yield "total-dimension", "dim B! = 2^(2n+1)", total, 1
+    yield "degree-dimensions", "dim (B!)_j = C(2n,j) + C(2n,j-1) = C(2n+1,j) = dim (B!)_(2n+1-j)", dims, 1
 
     def split():
-        zfree = sum(1 for w in words if w.zflag == 0)
-        zfull = sum(1 for w in words if w.zflag == 1)
-        want = 2 ** (2 * n)
-        return None if zfree == zfull == want else f"{zfree}, {zfull} != {want}"
+        # (z-free words, z words, all words): no word has another z flag
+        got = (sum(1 for w in words if w.zflag == 0), sum(1 for w in words if w.zflag == 1), len(words))
+        want = (2 ** (2 * n), 2 ** (2 * n), 2 ** (2 * n + 1))
+        return None if got == want else f"{got} != {want}"
 
-    yield "free-rank-two-split", "B! is free of rank two over its z-free subalgebra", split, 1
+    yield "free-rank-two-split", "B! is free of rank two over its z-free subalgebra, so dim B! = 2^(2n+1)", split, 1
 
     # the quantum-PBW statement at desk scale: word reduction is
     # confluent, so the square-free words really are a basis

@@ -223,7 +223,7 @@ _DUAL_PRESENTATION_CLAIMS = _at("degree-two-dimension", "engines-satisfy-relatio
         ("eliminate-keeps-rows-above", _at("involution", "orthogonality")),
         (
             "eliminate-drops-swap",
-            _at("complement-dimension", "rank-nullity", ns=(2,))
+            _at("complement-dimension", ns=(2,))
             | _at("engines-satisfy-relations", "degree-two-dimension", "golden-regression", "gram-invertible",
                   "involution", "orthogonality", "structured-dual-spans"),
         ),
@@ -322,7 +322,6 @@ EXPECTED_CLAIMS = {
     "dual-orthogonality": {
         "relation-count",
         "complement-dimension",
-        "rank-nullity",
         "orthogonality",
         "structured-dual-spans",
         "involution",
@@ -331,8 +330,6 @@ EXPECTED_CLAIMS = {
     },
     "shriek-dims": {
         "degree-dimensions",
-        "dimension-palindrome",
-        "total-dimension",
         "free-rank-two-split",
         "reduction-confluence",
         "shriek-associativity",
