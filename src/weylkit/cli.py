@@ -24,13 +24,7 @@ from .generators import AlgebraKind
 from .pbw import centralizer_in_degree, graded_degree
 from .quadratic import dual_presentation, relation_text, relations_of
 from .shriek import degree_dimensions
-from .localization import (
-    dehomogenize,
-    make,
-    mu,
-    theta,
-    theta_inverse,
-)
+from .localization import dehomogenize, make, mu, theta
 from .verify import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
@@ -141,10 +135,6 @@ def _nakayama(args) -> None:
         print(f"z scalar k = {nm.z_scalar}")
 
 
-def _homogenize(args) -> None:
-    print(render(theta_inverse(evaluate(args.expr[0], args.n, A)), args.format))
-
-
 def _dehomogenize(args) -> None:
     print(render(dehomogenize(evaluate(args.expr[0], args.n, B)), args.format))
 
@@ -156,7 +146,8 @@ def _theta(args) -> None:
 
 
 def _mu(args) -> None:
-    print(render(mu(evaluate(args.expr[0], args.n, A), args.t), args.format))
+    # homogenize is mu at t = 0, the canonical degree-zero fraction, and takes no t
+    print(render(mu(evaluate(args.expr[0], args.n, A), getattr(args, "t", 0)), args.format))
 
 
 def _verify(args) -> int:
@@ -205,7 +196,7 @@ _VERBS = {
     "dual": _Verb(_dual, "quadratic-dual presentation of B or C", 12, kinds=("B", "C")),
     "nakayama": _Verb(_nakayama, "Nakayama automorphism data", 3),
     # the localization verbs read --algebra only as B, the algebra being localized
-    "homogenize": _Verb(_homogenize, "minimal homogenization of a Weyl-algebra element", _EXPR_MAX_N, exprs=1, kinds=("B",)),
+    "homogenize": _Verb(_mu, "minimal homogenization of a Weyl-algebra element", _EXPR_MAX_N, exprs=1, kinds=("B",)),
     "dehomogenize": _Verb(_dehomogenize, "send z to 1", _EXPR_MAX_N, exprs=1, kinds=("B",)),
     "theta": _Verb(_theta, "degree-zero fraction to Weyl algebra (z power inferred)", _EXPR_MAX_N, exprs=1, kinds=("B",)),
     "mu": _Verb(_mu, "degree-t localized image of a Weyl-algebra element", _EXPR_MAX_N, exprs=1, kinds=("B",), extra=(
