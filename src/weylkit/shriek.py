@@ -379,9 +379,10 @@ def bilinear_form(a: ShriekElement, b: ShriekElement) -> Rational:
 
 def gram_matrix(n: int, j: int) -> list[list[Rational]]:
     """[beta(u_i, v_k)] over the degree-(j, 2n+1-j) basis pair: one signed entry per row."""
+    _check_ints(n, j)  # before the range test, which a non-int or negative n would misreport
     if not 0 <= j <= 2 * n + 1:
         raise ValueError(f"degree {j} out of range 0..{2 * n + 1}")
-    rows = shriek_basis_of_degree(n, j)  # checks n and j, which then key the cached column index
+    rows = _graded_words(n, j)[0]
     cols = _graded_words(n, 2 * n + 1 - j)[1]
     gram = [[0] * len(cols) for _ in rows]
     for row, u in zip(gram, rows):
