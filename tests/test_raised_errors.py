@@ -30,6 +30,7 @@ from weylkit import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "weylkit"
+A, B, B_SHRIEK = AlgebraKind.A, AlgebraKind.B, AlgebraKind.B_SHRIEK
 
 
 def error_classes(path: Path) -> set[str]:
@@ -64,9 +65,6 @@ def test_raised_names_sees_every_form(tmp_path):
         "try:\n    pass\nexcept D:\n    raise\n"
     )
     assert raised_names(path) == {"A", "B", "C"}
-
-
-A, B, B_SHRIEK = AlgebraKind.A, AlgebraKind.B, AlgebraKind.B_SHRIEK
 
 
 def _one_fraction_each_n():
