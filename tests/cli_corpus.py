@@ -126,7 +126,7 @@ def run(argv: list[str]) -> str:
     """One corpus block: the command line, then the exit status, stdout and stderr of ``cli_main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = cli_main(list(argv))
+        status = cli_main(argv)
     lines = [f"$ weylkit {shlex.join(argv)}", f"exit {status}"]
     for label, stream in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
         lines.append(f"{label}:")
@@ -142,9 +142,8 @@ def render_corpus() -> str:
 
 def check() -> list[str]:
     """The unified diff of the stored corpus against a fresh run; empty when they agree."""
-    want = DATA.read_text(encoding="utf-8") if DATA.exists() else ""
-    got = render_corpus()
-    return list(difflib.unified_diff(want.splitlines(), got.splitlines(), str(DATA.name), "fresh run", lineterm=""))
+    want, got = DATA.read_text(encoding="utf-8"), render_corpus()
+    return list(difflib.unified_diff(want.splitlines(), got.splitlines(), DATA.name, "fresh run", lineterm=""))
 
 
 def main(argv=None) -> int:
@@ -154,7 +153,6 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true", help=f"compare against {DATA.name}")
     args = parser.parse_args(argv)
     if args.write:
-        DATA.parent.mkdir(exist_ok=True)
         DATA.write_text(render_corpus(), encoding="utf-8")
         print(f"wrote {len(ARGV)} blocks to {DATA}")
         return 0
