@@ -18,7 +18,7 @@ import textwrap
 from math import comb
 from typing import Callable, NamedTuple
 
-from .errors import UnsupportedN, WeylkitError
+from .errors import IllegalGenerator, UnsupportedN, WeylkitError
 from .expressions import GRAMMAR, bounded_product, evaluate, render
 from .generators import AlgebraKind
 from .pbw import centralizer_in_degree, graded_degree
@@ -146,8 +146,13 @@ def _theta(args) -> None:
 
 
 def _mu(args) -> None:
-    # homogenize is mu at t = 0, the canonical degree-zero fraction, and takes no t
-    print(render(mu(evaluate(args.expr[0], args.n, A), getattr(args, "t", 0)), args.format))
+    # homogenize is mu at t = 0, the canonical degree-zero fraction, and takes no t; both read
+    # their input in A, whatever --algebra says, so a refused generator is named in A's terms
+    try:
+        a = evaluate(args.expr[0], args.n, A)
+    except IllegalGenerator as exc:
+        raise IllegalGenerator(f"{args.verb} reads its input in the Weyl algebra A: {exc}") from None
+    print(render(mu(a, getattr(args, "t", 0)), args.format))
 
 
 def _verify(args) -> int:

@@ -15,14 +15,17 @@ Rewriting a word sorts it by adjacent transpositions, each costing a sign,
 kills repeated x/d generators, and substitutes doubled z's.  The z-count
 of a word drops by two at every z^2 step and the inversion count drops at
 every swap, so any redex order terminates; confluence is checked by test.
-``reduce_expression`` is that literal route.  A word stores its x/d
-letters as one bitmask, the letter of rank r (``Generator.rank``) at bit
-r, and z as a flag.  ``multiply`` reads the product of two basis words
-off them instead: zero if they share an x or d letter; else the merged
-word, with one sign per pair of letters the merge swaps and per x/d
-letter of the right word that a z of the left word passes.  Two z's then
-give 0 in C!, and in B! -(x_i d_i) for each i that neither word uses, x_i
-and d_i each passing the letters ranked above them.  The tests check this
+``reduce_expression`` is that literal route.  A word is a tuple, hashed
+and compared in C: its x/d letters as one bitmask, the letter of rank r
+(``Generator.rank``) at bit r, a z flag, and a third item, 0 for a mask
+below 2^60 and the mask's bytes otherwise, since Python hashes an int
+modulo 2^61 - 1; so the hash still mixes every letter.  ``multiply``
+reads the product of two basis words off the masks instead: zero if they
+share an x or d letter; else the merged word, with one sign per pair of
+letters the merge swaps and per x/d letter of the right word that a z
+of the left word passes.  Two z's then give 0 in C!, and in B!
+-(x_i d_i) for each i that neither word uses, x_i and d_i each passing
+the letters ranked above them.  The tests check this
 against rewriting on every word pair, n <= 3.
 
 The basis lists words by degree, then by ascending ranks, as
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import _tuplegetter  # the C field getter of NamedTuple
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -54,25 +58,34 @@ from .errors import KindMismatch, SizeMismatch
 from .generators import AlgebraKind, FreeExpression, Generator, Rational, SparseElement, rank_generator
 
 
-@dataclass(frozen=True)
-class ShriekWord:
-    """A square-free basis word: its x/d letters, the one of rank r at bit r, and a z flag."""
+class ShriekWord(tuple):
+    """A square-free basis word: its x/d letters, the one of rank r at bit r, and a z flag.
 
-    letters: int
-    zflag: int
+    The tuple ``(letters, zflag, wide)``, hashed and compared in C; ``wide``
+    is 0 for a mask below 2^60 and otherwise the mask's bytes, so the hash
+    mixes every letter bit, and a word built by any route equals, and
+    hashes as, the same word built by any other.  A non-int or negative
+    mask still builds and hashes, so that ``ShriekElement`` refuses it.
 
-    def __hash__(self) -> int:
-        # total, so that a malformed word reaches ShriekElement's key check
-        letters = self.letters
-        try:
-            big = letters >> 60
-        except TypeError:  # not an int
-            return hash((letters, self.zflag))
-        if big:  # a mask of 2^60 or more, or a negative one
-            # Python hashes an int modulo 2^61 - 1, so the letters of ranks r and r+61 would collide
-            signed = letters < 0
-            letters = letters.to_bytes((letters.bit_length() + 7 + signed) // 8, "little", signed=signed)
-        return hash((letters, self.zflag))
+    >>> ShriekWord(1, 0)
+    ShriekWord(letters=1, zflag=0)
+    >>> len({hash(ShriekWord(1 << r, 0)) for r in range(200)})
+    200
+    """
+
+    __slots__ = ()
+
+    letters = _tuplegetter(0, "The x/d letter mask.")
+    zflag = _tuplegetter(1, "1 if the word ends in z, else 0.")
+
+    def __new__(cls, letters: int, zflag: int) -> "ShriekWord":
+        return _word(letters, zflag)
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self[:2]
+
+    def __repr__(self) -> str:
+        return f"ShriekWord(letters={self.letters!r}, zflag={self.zflag!r})"
 
     @property
     def degree(self) -> int:
@@ -100,9 +113,21 @@ class ShriekWord:
         }
 
 
+def _word(letters: int, zflag: int) -> ShriekWord:
+    """The word (letters, zflag): every word is built here, so equal words are equal tuples."""
+    try:
+        wide = letters >> 60
+    except TypeError:  # not an int: ShriekElement's key check refuses it
+        wide = 0
+    if wide:  # a mask of 2^60 or more, or a negative one: the letters of ranks r and r+61 hash alike as ints
+        signed = letters < 0
+        wide = letters.to_bytes((letters.bit_length() + 7 + signed) // 8, "little", signed=signed)
+    return tuple.__new__(ShriekWord, (letters, zflag, wide))
+
+
 def _ranks_to_word(ranks: Iterable[int], n: int) -> ShriekWord:
     letters = sum(1 << r for r in ranks)  # the ranks are distinct
-    return ShriekWord(letters & (1 << 2 * n) - 1, letters >> 2 * n)
+    return _word(letters & (1 << 2 * n) - 1, letters >> 2 * n)
 
 
 class ShriekElement(SparseElement):
@@ -186,7 +211,7 @@ def shriek_basis_of_degree(n: int, j: int) -> list[ShriekWord]:
 
     Each (n, j) is built once, with its {word: position} index, and kept in
     a cache of the 64 latest keys; the largest a repo caller builds,
-    (4, 4), has 126 words and takes about 0.02 MB.  Every call returns a
+    (4, 4), has 126 words and takes about 0.015 MB.  Every call returns a
     fresh list, which the caller may change.  A non-int n or j raises
     TypeError, a negative n ValueError.
 
@@ -292,11 +317,11 @@ def _word_product(u: ShriekWord, v: ShriekWord, kind: AlgebraKind, n: int):
     merged = left | right
     sign = -1 if flips & 1 else 1
     if not (u.zflag and v.zflag):
-        return ((ShriekWord(merged, u.zflag | v.zflag), sign),)
+        return ((_word(merged, u.zflag | v.zflag), sign),)
     if kind is AlgebraKind.C_SHRIEK:
         return ()
     return tuple(
-        (ShriekWord(merged | 1 << i | 1 << n + i, 0),
+        (_word(merged | 1 << i | 1 << n + i, 0),
          -sign * (-1) ** ((merged >> i).bit_count() + (merged >> n + i).bit_count()))
         for i in reversed(range(n))  # in the order rewriting lists them
         if not (merged >> i | merged >> n + i) & 1
@@ -360,7 +385,7 @@ def frobenius_functional(e: ShriekElement) -> Rational:
 
 def _partner(u: ShriekWord, n: int) -> tuple[ShriekWord, int]:
     """(the complement of u, beta(u, complement)): the one word u pairs with, and how."""
-    partner = ShriekWord(u.letters ^ (1 << 2 * n) - 1, u.zflag ^ 1)
+    partner = _word(u.letters ^ (1 << 2 * n) - 1, u.zflag ^ 1)
     ((_, sign),) = _word_product(u, partner, AlgebraKind.B_SHRIEK, n)  # one z: one term
     return partner, sign
 
@@ -464,7 +489,7 @@ def apply_automorphism(m: NakayamaMap, e: ShriekElement) -> ShriekElement:
     n, kind, images = e.n, e.kind, m._by_rank
     out: dict[ShriekWord, Rational] = {}
     for w, c in e.coeffs.items():
-        img = {ShriekWord(0, 0): c}
+        img = {_word(0, 0): c}
         for r in w.ranks(n):
             folded: dict[ShriekWord, Rational] = {}
             for u, cu in img.items():
@@ -510,7 +535,7 @@ def form_failure(n: int) -> ShriekElement | None:
     top = top_word(n)
     for w in shriek_basis(n):
         u = ShriekElement.of_basis(n, {w: 1})
-        ubar = ShriekElement.of_basis(n, {ShriekWord(top.letters ^ w.letters, w.zflag ^ 1): 1})
+        ubar = ShriekElement.of_basis(n, {_word(top.letters ^ w.letters, w.zflag ^ 1): 1})
         if frobenius_functional(multiply(u, ubar)) != bilinear_form(u, ubar):
             return u
     return None

@@ -1,6 +1,8 @@
 """Shriek algebra tests: reduction, Frobenius form, Nakayama automorphism."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -249,7 +251,9 @@ def test_constructor_refuses_a_malformed_word(word):
         ShriekElement(1, {word: 1})
 
 
-@pytest.mark.parametrize("key", [(1, 0), "x1", PBWMonomial(0, (1,), (0,))], ids=["tuple", "str", "pbw-monomial"])
+@pytest.mark.parametrize(
+    "key", [(1, 0), (1, 0, 0), "x1", PBWMonomial(0, (1,), (0,))], ids=["tuple", "word-tuple", "str", "pbw-monomial"]
+)
 def test_constructor_refuses_a_key_of_another_type(key):
     # refused before any field is read, so no AttributeError escapes
     with pytest.raises(TypeError, match=r"is not a ShriekWord$"):
@@ -291,6 +295,21 @@ def test_word_hash_mixes_every_mask_bit():
     # Python hashes an int modulo 2^61 - 1; the letters of ranks r and r+61 must still hash apart
     assert len({hash(ShriekWord(1 << i, 0)) for i in range(1000)}) == 1000
     assert len({hash(ShriekWord(1 << i, 1)) for i in range(1000)}) == 1000
+
+
+@pytest.mark.parametrize("n", [31, 40])
+def test_words_equal_and_hash_as_tuples_in_c(n):
+    assert ShriekWord.__hash__ is tuple.__hash__ and ShriekWord.__eq__ is tuple.__eq__
+    w = ShriekWord(1 | 1 << 2 * n - 1, 0)  # x1*d_n: its d letter lies past bit 60
+    assert copy.deepcopy(w) == w == pickle.loads(pickle.dumps(w))
+    assert type(pickle.loads(pickle.dumps(w))) is ShriekWord
+    assert repr(w) == f"ShriekWord(letters={w.letters}, zflag=0)"
+    via_ranks = shriek._ranks_to_word([0, 2 * n - 1], n)
+    product = multiply(ShriekElement.generator(n, x1), ShriekElement.generator(n, Generator.d(n)))
+    (via_product,) = product.coeffs
+    for other in (via_ranks, via_product):
+        assert type(other) is ShriekWord and other == w and hash(other) == hash(w)
+    assert product.coeffs[w] == 1
 
 
 # -- decomposition ---------------------------------------------------------------------

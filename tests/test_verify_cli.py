@@ -601,6 +601,14 @@ def test_cli_homogenize_dehomogenize(capsys):
     assert capsys.readouterr().out.strip() == "x1"
 
 
+@pytest.mark.parametrize("argv", [["homogenize", "--n", "1", "z"], ["mu", "--n", "1", "--algebra", "B", "z*x1", "2"]])
+def test_cli_localization_refusal_names_the_algebra_the_input_is_read_in(argv, capsys):
+    # --algebra B is the default: the refusal must say why A is meant
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {argv[0]} reads its input in the Weyl algebra A: z is not a generator of the algebra A\n"
+
+
 def test_cli_center(capsys):
     assert cli_main(["center", "--n", "1"]) == 0
     out = capsys.readouterr().out
