@@ -132,6 +132,17 @@ def quotient(a: int, b: int) -> Rational:
     return Fraction(a, b) if r else q
 
 
+def check_pair_count(n) -> None:
+    """Raise TypeError unless ``n`` is an int (a bool is not one), ValueError if it is negative.
+
+    n = 0 is a pair count: the algebras on z alone.
+    """
+    if type(n) is not int:
+        raise TypeError(f"the pair count must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"the pair count must be nonnegative, got {n}")
+
+
 def _cleared(items):
     """(``items`` with every coefficient times D, D): D the lcm of the denominators.
 
@@ -154,6 +165,9 @@ class FreeExpression:
 
     n: int
     terms: tuple[tuple[Rational, Word], ...]
+
+    def __post_init__(self):
+        check_pair_count(self.n)
 
     @staticmethod
     def from_terms(n: int, terms: Sequence[tuple[Rational, Sequence[Generator]]]) -> "FreeExpression":
@@ -218,23 +232,39 @@ class SparseElement:
     are multiplied on cleared denominators (see ``_bilinear``), so the
     term-pair loop multiplies ints there too.  Construction
     drops zero coefficients, so the arithmetic below may leave zeros in
-    the dicts it builds.  A subclass
-    supplies ``_check_keys``, ``_times`` (its module's ``multiply``) and
-    ``_one`` (the unit); a key supplies ``degree`` and, given the pair
+    the dicts it builds.  A subclass supplies ``_check_kind`` (its
+    engine's kinds), ``_check_keys``, ``_times`` (its module's
+    ``multiply``) and ``_one`` (the unit); a key supplies ``degree`` and, given the pair
     count, ``term_key``, ``word_str`` and ``json_fields``.  ``*`` multiplies
     two elements of one type, n and kind, which ``_bilinear`` checks; a
     scalar goes through ``scaled``, so ``e * 2`` and ``2 * e`` raise
     TypeError.  Two elements are equal iff kind, n and the coefficient
-    maps agree.  The constructor checks every key with ``_check_keys``, as
-    keys may come from outside; ``_like`` skips the check, its keys being
-    built from checked ones.
+    maps agree.
+
+    Keys are checked once, where they enter.  The constructor takes keys
+    from outside: it checks the kind, the pair count and every key.
+    ``_unchecked`` takes keys an engine built from checked ones (a unit, a
+    generator, a rewritten word): it checks the kind and the pair count
+    only.  ``_like`` reuses its element's checked kind and pair count and
+    checks nothing.
     """
 
     __slots__ = ("kind", "n", "coeffs")
 
-    def __init__(self, kind: AlgebraKind, n: int, coeffs: dict | None):
+    def __init__(self, kind: AlgebraKind, n: int, coeffs: dict | None = None):
+        self._check_kind(kind)
+        check_pair_count(n)
         self._fill(kind, n, coeffs)
         self._check_keys(self.coeffs)
+
+    @classmethod
+    def _unchecked(cls, kind: AlgebraKind, n: int, coeffs: dict):
+        """An element on keys built from checked ones: the kind and n are checked, the keys are not."""
+        cls._check_kind(kind)
+        check_pair_count(n)
+        out = object.__new__(cls)
+        out._fill(kind, n, coeffs)
+        return out
 
     def _fill(self, kind: AlgebraKind, n: int, coeffs: dict | None) -> None:
         clean = {}

@@ -57,7 +57,7 @@ from .errors import (
     SizeMismatch,
     ZeroElement,
 )
-from .generators import AlgebraKind, FreeExpression, Generator, Rational, SparseElement
+from .generators import AlgebraKind, FreeExpression, Generator, Rational, SparseElement, check_pair_count
 
 
 class PBWMonomial(NamedTuple):
@@ -118,6 +118,14 @@ class PBWMonomial(NamedTuple):
         return {"z": self.zexp, "x": list(self.xexps), "d": list(self.dexps)}
 
 
+_KINDS = (AlgebraKind.A, AlgebraKind.B, AlgebraKind.C)  # looked up once, as in shriek
+
+
+def _check_kind(kind: AlgebraKind) -> None:
+    if kind not in _KINDS:
+        raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
+
+
 class AlgebraElement(SparseElement):
     """A canonical element: sparse map from PBW monomials to nonzero rationals.
 
@@ -127,9 +135,7 @@ class AlgebraElement(SparseElement):
 
     __slots__ = ()
 
-    def __init__(self, kind: AlgebraKind, n: int, coeffs: dict[PBWMonomial, Rational] | None = None):
-        _check_kind(kind)
-        SparseElement.__init__(self, kind, n, coeffs)
+    _check_kind = staticmethod(_check_kind)
 
     def _check_keys(self, keys) -> None:
         n, weyl = self.n, self.kind is AlgebraKind.A
@@ -147,7 +153,8 @@ class AlgebraElement(SparseElement):
 
     @staticmethod
     def one(kind: AlgebraKind, n: int) -> "AlgebraElement":
-        return AlgebraElement(kind, n, {_ranks_to_monomial((), n): 1})
+        check_pair_count(n)
+        return AlgebraElement._unchecked(kind, n, {_ranks_to_monomial((), n): 1})
 
     @staticmethod
     def monomial(kind: AlgebraKind, n: int, m: PBWMonomial) -> "AlgebraElement":
@@ -155,8 +162,9 @@ class AlgebraElement(SparseElement):
 
     @staticmethod
     def generator(kind: AlgebraKind, n: int, g: Generator) -> "AlgebraElement":
+        check_pair_count(n)
         g.check(n, kind)
-        return AlgebraElement(kind, n, {_ranks_to_monomial((g.rank(n),), n): 1})
+        return AlgebraElement._unchecked(kind, n, {_ranks_to_monomial((g.rank(n),), n): 1})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -165,14 +173,6 @@ class AlgebraElement(SparseElement):
 
     def _one(self) -> "AlgebraElement":
         return AlgebraElement.one(self.kind, self.n)
-
-
-_KINDS = (AlgebraKind.A, AlgebraKind.B, AlgebraKind.C)  # looked up once, as in shriek
-
-
-def _check_kind(kind: AlgebraKind) -> None:
-    if kind not in _KINDS:
-        raise KindMismatch(f"PBW engine handles kinds A, B, C; got {kind.value}")
 
 
 # -- the rewriting kernel ----------------------------------------------------
@@ -276,8 +276,8 @@ def normal_form(
     >>> str(normal_form(parse("d1*x1", 1, AlgebraKind.B), AlgebraKind.B))
     'x1*d1 + z^2'
     """
-    n = expr.n
-    return AlgebraElement(kind, n, _reduce_rank_words(expr.rank_terms(kind), kind, n, rng))
+    n = expr.n  # rank_terms checks every generator, so the reduced words are basis monomials
+    return AlgebraElement._unchecked(kind, n, _reduce_rank_words(expr.rank_terms(kind), kind, n, rng))
 
 
 def word_normal_form(
@@ -424,7 +424,8 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
     zexp == d, read with no sum over the exponents.  A basis
     listing a monomial twice would void that argument, so it raises
     RuntimeError before any element is built.  The central monomials are
-    valid by construction, so their elements skip the key check.
+    valid by construction, so their elements are built by
+    ``AlgebraElement._unchecked``: no key is checked and no unit is built.
 
     >>> [str(v) for v in centralizer_in_degree(AlgebraKind.B, 1, 2)]
     ['z^2']
@@ -433,8 +434,8 @@ def centralizer_in_degree(kind: AlgebraKind, n: int, d: int) -> list[AlgebraElem
     if len(set(basis)) < len(basis):
         twice = next(m for m, k in Counter(basis).items() if k > 1)
         raise RuntimeError(f"the degree-{d} basis lists {twice} twice")
-    like = AlgebraElement.one(kind, n)._like
-    return [like({m: 1}) for m in basis if kind is AlgebraKind.C or m.zexp == d]
+    build, every = AlgebraElement._unchecked, kind is AlgebraKind.C  # looked up once, not per monomial
+    return [build(kind, n, {m: 1}) for m in basis if every or m.zexp == d]
 
 
 # -- divisibility by z ---------------------------------------------------------

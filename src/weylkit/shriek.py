@@ -55,7 +55,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import KindMismatch, SizeMismatch
-from .generators import AlgebraKind, FreeExpression, Generator, Rational, SparseElement, rank_generator
+from .generators import AlgebraKind, FreeExpression, Generator, Rational, SparseElement, check_pair_count, rank_generator
 
 
 class ShriekWord(tuple):
@@ -130,6 +130,14 @@ def _ranks_to_word(ranks: Iterable[int], n: int) -> ShriekWord:
     return _word(letters & (1 << 2 * n) - 1, letters >> 2 * n)
 
 
+_KINDS = (AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK)  # looked up once: an Enum member lookup takes about 0.1 us
+
+
+def _check_kind(kind: AlgebraKind) -> None:
+    if kind not in _KINDS:
+        raise KindMismatch(f"shriek engine handles kinds B! and C!, got {kind.value}")
+
+
 class ShriekElement(SparseElement):
     """Sparse rational combination of shriek basis words; immutable.
 
@@ -139,10 +147,11 @@ class ShriekElement(SparseElement):
 
     __slots__ = ()
 
+    _check_kind = staticmethod(_check_kind)
+
     def __init__(self, n: int, coeffs: dict[ShriekWord, Rational] | None = None,
                  kind: AlgebraKind = AlgebraKind.B_SHRIEK):
-        _check_kind(kind)
-        SparseElement.__init__(self, kind, n, coeffs)
+        SparseElement.__init__(self, kind, n, coeffs)  # only to take the arguments in this order
 
     def _check_keys(self, keys) -> None:
         for w in keys:
@@ -156,15 +165,12 @@ class ShriekElement(SparseElement):
     @staticmethod
     def of_basis(n: int, coeffs: dict[ShriekWord, Rational],
                  kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
-        """An element on words of ``shriek_basis(n)``, valid by construction: only the kind is checked."""
-        _check_kind(kind)
-        out = object.__new__(ShriekElement)
-        out._fill(kind, n, coeffs)
-        return out
+        """An element on words of ``shriek_basis(n)``, valid by construction: the kind and n are checked, no word."""
+        return ShriekElement._unchecked(kind, n, coeffs)
 
     @staticmethod
     def one(n: int, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
-        return ShriekElement.of_basis(n, {ShriekWord(0, 0): 1}, kind)
+        return ShriekElement._unchecked(kind, n, {_word(0, 0): 1})
 
     @staticmethod
     def word(n: int, w: ShriekWord, coeff: Rational = 1,
@@ -173,8 +179,9 @@ class ShriekElement(SparseElement):
 
     @staticmethod
     def generator(n: int, g: Generator, kind: AlgebraKind = AlgebraKind.B_SHRIEK) -> "ShriekElement":
+        check_pair_count(n)
         g.check(n, kind)
-        return ShriekElement.of_basis(n, {_ranks_to_word([g.rank(n)], n): 1}, kind)
+        return ShriekElement._unchecked(kind, n, {_ranks_to_word([g.rank(n)], n): 1})
 
     def _times(self, other: "ShriekElement") -> "ShriekElement":
         return multiply(self, other)
@@ -184,14 +191,6 @@ class ShriekElement(SparseElement):
 
 
 # -- basis enumeration ---------------------------------------------------------
-
-_KINDS = (AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK)  # looked up once: an Enum member lookup takes about 0.1 us
-
-
-def _check_kind(kind: AlgebraKind) -> None:
-    if kind not in _KINDS:
-        raise KindMismatch(f"shriek engine handles kinds B! and C!, got {kind.value}")
-
 
 def _check_ints(n: int, j: int = 0) -> None:
     if not (isinstance(n, int) and isinstance(j, int)):
@@ -528,14 +527,17 @@ def defining_identity_failure(nm: NakayamaMap) -> tuple[ShriekElement, ShriekEle
 def form_failure(n: int) -> ShriekElement | None:
     """The first basis word u with beta(u, ubar) != the top coefficient of u*ubar, or None.
 
-    ubar, the word of the letters u lacks, is the one word u pairs with:
-    one element product per word.  Both sides read ``_word_product(u, ubar)``,
-    so this checks ``_bilinear`` and ``top_word``, not the word product.
+    ubar, the word of the letters u lacks, is the one word u pairs with.
+    Together the two hold each generator once, so rewriting u*ubar only
+    sorts its letters, one sign per swap: the top coefficient is -1 to the
+    inversion count of u's ranks followed by ubar's.  That binds
+    ``_partner``'s sign, which ``_word_product`` gives, to the rewriting
+    rules, with no element, product or form built.
     """
-    top = top_word(n)
-    for w in shriek_basis(n):
-        u = ShriekElement.of_basis(n, {w: 1})
-        ubar = ShriekElement.of_basis(n, {_word(top.letters ^ w.letters, w.zflag ^ 1): 1})
-        if frobenius_functional(multiply(u, ubar)) != bilinear_form(u, ubar):
-            return u
+    for u in shriek_basis(n):
+        ubar, sign = _partner(u, n)
+        left = u.ranks(n)
+        inversions = sum(a > b for b in ubar.ranks(n) for a in left)
+        if sign != (-1) ** inversions:
+            return ShriekElement.of_basis(n, {u: 1})
     return None

@@ -173,6 +173,14 @@ def test_arithmetic_results_skip_the_key_check(monkeypatch):
     assert checked == [2]
     b = multiply(a, a) + a.scaled(2) - commutator(a, a)
     assert checked == [2] and not b.is_zero()
+    # the engine builds these keys itself: only the kind and the pair count are checked
+    built = [
+        AlgebraElement.one(B, 2),
+        gen_el(A, 2, Generator.d(2)),
+        nf("d1*x1 - 3*z^2", 1, B),
+        *centralizer_in_degree(C, 2, 2),
+    ]
+    assert checked == [2] and len(built) == 3 + 15
 
 
 def test_add_scale():
@@ -534,15 +542,14 @@ def test_centralizer_multiplies_no_monomials(monkeypatch, kind):
 
 
 def test_centralizer_checks_no_basis_monomial(monkeypatch):
-    # the basis is valid by construction; wrapping each of the 84 central monomials checked each
+    # the basis is valid by construction, and no unit is built to lend its constructor
     checked = []
     inner = AlgebraElement._check_keys
     monkeypatch.setattr(AlgebraElement, "_check_keys", lambda self, keys: checked.extend(keys) or inner(self, keys))
     assert len(centralizer_in_degree(C, 3, 3)) == 84
-    assert len(checked) <= 1  # the unit, whose element lends the unchecked constructor
-    before = len(checked)
+    assert checked == []
     AlgebraElement.monomial(C, 3, basis_of_degree(C, 3, 3)[0])  # the wrapper counts
-    assert len(checked) == before + 1
+    assert len(checked) == 1
 
 
 def test_centralizer_builds_no_element(monkeypatch):

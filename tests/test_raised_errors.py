@@ -6,12 +6,15 @@ from pathlib import Path
 import pytest
 
 from weylkit import (
+    AlgebraElement,
     AlgebraKind,
     FreeExpression,
     Generator,
     IllegalGenerator,
     KindMismatch,
     NakayamaMap,
+    ShriekElement,
+    ShriekWord,
     SizeMismatch,
     dehomogenize,
     divide_by_z,
@@ -24,6 +27,8 @@ from weylkit import (
     loc_multiply,
     make,
     nakayama,
+    normal_form,
+    parse,
     relations_of,
     render,
     z_shift,
@@ -99,6 +104,27 @@ _API_REFUSALS = {
     "generator-z-index": (lambda: Generator("z", 1), ValueError, "z carries no index"),
     "generator-x-index-0": (lambda: Generator("x", 0), ValueError, "x/d indices are 1-based"),
     "render-xml": (lambda: render(evaluate("x1", 1, B), "xml"), ValueError, "unknown render format 'xml'"),
+    # a pair count that is not a nonnegative int: each printed, built, or failed with an unnamed error
+    "element-str-n": (lambda: AlgebraElement(B, "x", {}), TypeError, "pair count must be an int, got 'x'"),
+    "shriek-element-str-n": (lambda: ShriekElement("2"), TypeError, "pair count must be an int, got '2'"),
+    "element-negative-n": (lambda: AlgebraElement(B, -1, {}), ValueError, "pair count must be nonnegative, got -1"),
+    "shriek-element-negative-n": (lambda: ShriekElement(-1), ValueError, "pair count must be nonnegative, got -1"),
+    "free-expression-negative-n": (lambda: FreeExpression(-1, ()), ValueError, "pair count must be nonnegative"),
+    "generator-negative-n": (
+        lambda: AlgebraElement.generator(B, -1, Generator.z()), ValueError, "pair count must be nonnegative"
+    ),
+    "normal-form-negative-n": (lambda: normal_form(parse("z", -1, B), B), ValueError, "pair count must be nonnegative"),
+    "shriek-one-negative-n": (lambda: ShriekElement.one(-1), ValueError, "pair count must be nonnegative"),
+    "shriek-generator-negative-n": (
+        lambda: ShriekElement.generator(-1, Generator.z()), ValueError, "pair count must be nonnegative"
+    ),
+    "shriek-word-negative-n": (
+        lambda: ShriekElement.word(-1, ShriekWord(0, 0)), ValueError, "pair count must be nonnegative"
+    ),
+    "one-negative-n": (lambda: AlgebraElement.one(B, -1), ValueError, "pair count must be nonnegative, got -1"),
+    "evaluate-negative-n": (lambda: evaluate("z", -1, B), ValueError, "pair count must be nonnegative, got -1"),
+    "one-float-n": (lambda: AlgebraElement.one(B, 1.5), TypeError, "pair count must be an int, got 1.5"),
+    "one-bool-n": (lambda: AlgebraElement.one(B, True), TypeError, "pair count must be an int, got True"),
 }
 
 

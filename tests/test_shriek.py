@@ -398,6 +398,19 @@ def test_bilinear_form_equals_the_product_route_on_random_elements(n, kind):
         assert bilinear_form(a, b) == frobenius_functional(multiply(a, b)), (a, b)
 
 
+@pytest.mark.parametrize("kind", [AlgebraKind.B_SHRIEK, AlgebraKind.C_SHRIEK])
+@pytest.mark.parametrize("n", range(4))
+def test_a_complementary_pair_rewrites_by_sorting(n, kind):
+    # u and its complement hold each generator once, so rewriting u*ubar only sorts the letters
+    top = top_word(n)
+    for u in shriek_basis(n):
+        ubar = ShriekWord(top.letters ^ u.letters, u.zflag ^ 1)
+        ranks = u.ranks(n) + ubar.ranks(n)
+        inversions = sum(a > b for a, b in itertools.combinations(ranks, 2))
+        letters = [rank_generator(r, n) for r in ranks]
+        assert frobenius_functional(reduce_word(letters, n, kind)) == (-1) ** inversions, u
+
+
 def test_bilinear_form_checks_compatibility():
     with pytest.raises(SizeMismatch):
         bilinear_form(ShriekElement.one(1), ShriekElement.one(2))
@@ -430,12 +443,16 @@ _SHRIEK_X1 = ShriekElement.generator(1, x1)
         lambda: multiply(_SHRIEK_X1, _PBW_X1),  # these three raised a bare TypeError
         lambda: pbw.multiply(_PBW_X1, _SHRIEK_X1),
         lambda: bilinear_form(_SHRIEK_X1, _PBW_X1),
+        lambda: pbw.AlgebraElement.one(AlgebraKind.B_SHRIEK, 1),  # the builders check the kind, not the keys
+        lambda: pbw.AlgebraElement.generator(AlgebraKind.B_SHRIEK, 1, x1),
+        lambda: ShriekElement.of_basis(1, {}, AlgebraKind.B),
     ],
     ids=[
         "frobenius_functional", "product_size", "multiply", "bilinear_form", "decompose", "apply_automorphism",
         "pbw.multiply", "pbw.commutator", "pbw.product_size", "pbw.partial_degree", "pbw.graded_degree",
         "pbw.z_divides", "pbw.divide_by_z", "pbw.z_shift",
         "multiply-mixed", "pbw.multiply-mixed", "bilinear_form-mixed",
+        "pbw.one", "pbw.generator", "of_basis",
     ],
 )
 def test_each_engine_refuses_the_other_engines_elements(call):

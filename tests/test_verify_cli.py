@@ -214,9 +214,9 @@ _DUAL_PRESENTATION_CLAIMS = _at("degree-two-dimension", "engines-satisfy-relatio
         # both ranks stay right: only the certificate's pairing sweep refuses the loop
         ("loop-z-z-sign", _DUAL_PRESENTATION_CLAIMS),
         ("pairs-mixed-orientation", _DUAL_PRESENTATION_CLAIMS),
-        # form-is-top-coefficient reads the word product on both sides, so it catches none of these
+        # form-is-top-coefficient sorts a complementary pair, which holds one z, so it sees no z*z mutant
         ("word-product-z-z-sign", _at("engines-satisfy-relations")),
-        ("word-product-left-z-sign", _at("engines-satisfy-relations", "golden-regression")),
+        ("word-product-left-z-sign", _at("engines-satisfy-relations", "golden-regression", "form-is-top-coefficient")),
         ("word-product-z-z-drops-i-0", _at("engines-satisfy-relations")),
         # orthogonality catches these through the double complement: reducing R alone combines no rows at n <= 2
         ("eliminate-combination-sign", _at("involution", "orthogonality")),
@@ -347,7 +347,6 @@ EXPECTED_CLAIMS = {
         "parts-sum",
         "projection-idempotent",
         "subalgebra-closure",
-        "rank-two-dimensions",
         "z-span-change-of-basis",
         "bimodule-closure",
     },
