@@ -184,8 +184,8 @@ _ALL_KINDS = tuple(k.value for k in AlgebraKind)
 # Process wall times at the caps.  Expression verbs: a term costs O(n), as every monomial
 # holds two length-n exponent vectors, so no product builds more than 100 000 terms, and past
 # n = 5 no more than 500 000 / n (expressions.bounded_product); at --n 1000, nf "(x1+d1+z)^8"
-# takes 0.23-0.26 s (0.14-0.17 s at n = 1), and mul of two of them is refused in 0.35-0.41 s
-# (it prints in 0.19-0.21 s at n = 1).  dims --n 1000 counts by formula: 0.09-0.13 s for A, B
+# takes 0.16-0.18 s (0.11-0.13 s at n = 1), and mul of two of them is refused in 0.13-0.15 s
+# (it prints in 0.13-0.14 s at n = 1).  dims --n 1000 counts by formula: 0.09-0.13 s for A, B
 # and C, 0.26-0.44 s for B! and C!, which print 869 252 bytes.  center --n 4 0.11-0.17 s,
 # nearly all of it start-up (importing weylkit.cli takes 0.10-0.17 s), dual --n 12 1.4 s,
 # nakayama --n 3 0.12-0.19 s (text or --json); these grow fast with n (2 Xeon CPUs, Python 3.11.7).

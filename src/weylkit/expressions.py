@@ -58,10 +58,11 @@ _MAX_DEPTH = 100
 # (x1+d1+z)^8, is 6561 words of length 8.
 _MAX_FREE_SIZE = 100_000
 
-# mul --n 5 "d1^9*...*d5^9" "x1^9*...*x5^9" builds 100 000 terms: 2.9 s, 111 MB RSS, 7.5 MB
-# printed, in-process; with d5^19 and x5^19 instead, 200 000 terms took 7.3 s and 209 MB.
-# A term holds two length-n exponent tuples, so past n = 5 the cap falls as 5/n: a product
-# builds at most 62 500 terms at n = 8 and 500 at n = 1000.
+# mul --n 5 "d1^9*...*d5^9" "x1^9*...*x5^9" builds 100 000 terms: 1.6 s, 106 MB RSS, 7.5 MB
+# printed, in-process (2 Xeon CPUs, Python 3.11.7).  A term pair costs one int addition on
+# packed keys, but each output term is still unpacked into two length-n exponent tuples and
+# --json prints both, so past n = 5 the cap falls as 5/n: a product builds at most 62 500
+# terms at n = 8 and 500 at n = 1000.
 _MAX_PRODUCT_TERMS = 100_000
 
 # Numbers read or printed have at most this many digits, Python's default int-to-str

@@ -234,7 +234,8 @@ class SparseElement:
     drops zero coefficients, so the arithmetic below may leave zeros in
     the dicts it builds.  A subclass supplies ``_check_kind`` (its
     engine's kinds), ``_check_keys``, ``_times`` (its module's
-    ``multiply``) and ``_one`` (the unit); a key supplies ``degree`` and, given the pair
+    ``multiply``), ``_term_pairs`` (the term-pair loop ``_bilinear`` runs)
+    and ``_one`` (the unit); a key supplies ``degree`` and, given the pair
     count, ``term_key``, ``word_str`` and ``json_fields``.  ``*`` multiplies
     two elements of one type, n and kind, which ``_bilinear`` checks; a
     scalar goes through ``scaled``, so ``e * 2`` and ``2 * e`` raise
@@ -350,28 +351,24 @@ class SparseElement:
     def __pow__(self, k: int):
         return power(self, k, operator.mul, self._one())
 
-    def _bilinear(self, other, basis_product):
-        """Bilinear extension of ``basis_product(u, v, kind, n)``.
+    def _bilinear(self, other):
+        """``self * other``: the engine's term-pair loop, on cleared denominators.
 
-        ``basis_product`` returns the (key, coefficient) terms of the
-        product of two basis keys.  When both factors have two terms or
-        more, each is multiplied by the lcm of its denominators, the loop
-        adds ints only, and each output coefficient is divided back once
-        by ``quotient``.  A one-term factor would save no Fraction product,
-        so then the factors are taken as they are.
+        ``self._term_pairs(left, right)`` multiplies every (key,
+        coefficient) term of ``left`` by every term of ``right`` and
+        returns the map of summed coefficients; it may leave zeros.  When
+        both factors have two terms or more, each is multiplied by the lcm
+        of its denominators, the loop adds ints only, and each output
+        coefficient is divided back once by ``quotient``.  A one-term factor
+        would save no Fraction product, so then the factors are taken as
+        they are.
         """
         self._check_compatible(other)
-        kind, n = self.kind, self.n
         left, right, den = self.coeffs.items(), other.coeffs.items(), 1
         if len(left) > 1 and len(right) > 1:
             (left, den_left), (right, den_right) = _cleared(left), _cleared(right)
             den = den_left * den_right
-        out = {}
-        for u, cu in left:
-            for v, cv in right:
-                c = cu * cv
-                for w, k in basis_product(u, v, kind, n):
-                    out[w] = out.get(w, 0) + c * k
+        out = self._term_pairs(left, right)
         if den != 1:
             out = {w: quotient(c, den) for w, c in out.items()}
         return self._like(out)

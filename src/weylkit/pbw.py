@@ -16,7 +16,11 @@ reaches it by literal term rewriting on free words (the rule set below);
     d_i^q x_i^r = sum_k k! C(q,k) C(r,k) c^k x_i^(r-k) d_i^(q-k)
 
 with c = z^2 resp. 1, which the rewriting rules generate.  The two routes
-are checked against each other in the test suite.
+are checked against each other in the test suite.  The product packs each
+monomial into one int, a fixed-width field per x and d exponent with z
+above them, so a term pair whose left d's meet no right x's costs one int
+addition, and each exchange moves the sum's key by a multiple of one step
+(see ``_packed_term_pairs``).
 
 Rewriting rules (applied to adjacent generator pairs):
 
@@ -46,8 +50,6 @@ import itertools
 import random
 from bisect import bisect_right
 from collections import Counter
-from math import comb, factorial
-from operator import add
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -171,6 +173,9 @@ class AlgebraElement(SparseElement):
     def _times(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
 
+    def _term_pairs(self, left, right) -> dict:
+        return _packed_term_pairs(left, right, self.kind, self.n)
+
     def _one(self) -> "AlgebraElement":
         return AlgebraElement.one(self.kind, self.n)
 
@@ -292,36 +297,116 @@ def word_normal_form(
 
 # -- closed-form multiplication ---------------------------------------------
 
-def _mul_monomials(m1: PBWMonomial, m2: PBWMonomial, kind: AlgebraKind, n: int):
-    """Yield the (monomial, coefficient) terms of m1*m2 by the exchange identity,
-    one per choice of k_i from min(q_i, p_i) down to 0 at each index i where
-    d_i meets x_i.
+_NONZERO = bytes([0] + [1] * 255)  # a byte table: 1 for every nonzero byte
+
+
+def _packed(terms, size: int, n: int, d_side: bool, exchanges: bool) -> list:
+    """(key, coefficient, mask, exponents) for each (monomial, coefficient) of ``terms``.
+
+    The key packs the monomial into one int.  Field r, ``size`` bytes from
+    the lowest, holds the exponent of the generator of rank r: x_1..x_n
+    come first, then d_1..d_n (``Generator.rank``).  The z exponent stands
+    above them, with no width of its own.  The exponents are the d
+    exponents (``d_side``) or else the x exponents, and the mask has bit 8i
+    set where the one at index i is nonzero, or is 0 when no exchange can
+    happen.  One-byte fields go through ``bytes`` in C; wider ones, met only
+    past exponent 255, are shifted in one by one.
     """
-    z1, p1, q1 = m1
-    z2, p2, q2 = m2
-    # kind C commutes everything, so no d_i x_i pair needs an exchange
-    cross = [] if kind is AlgebraKind.C else [i for i in range(n) if q1[i] and p2[i]]
-    base_z = z1 + z2
-    xs = tuple(map(add, p1, p2))
-    ds = tuple(map(add, q1, q2))
-    if not cross:
-        yield tuple.__new__(PBWMonomial, (base_z, xs, ds)), 1
-        return
+    out = []
+    width, z_shift = 8 * size, 16 * size * n
+    for m, c in terms:
+        key, exps = m.zexp << z_shift, m.dexps if d_side else m.xexps
+        if size == 1:
+            key += int.from_bytes(bytes((*m.xexps, *m.dexps)), "little")
+        else:
+            for r, e in enumerate((*m.xexps, *m.dexps)):
+                if e:
+                    key += e << width * r
+        if not exchanges:
+            mask = 0
+        elif size == 1:
+            mask = int.from_bytes(bytes(exps).translate(_NONZERO), "little")
+        else:
+            mask = int.from_bytes(bytes(map(bool, exps)), "little")
+        out.append((key, c, mask, exps))
+    return out
+
+
+def _unpack(key: int, n: int, size: int) -> PBWMonomial:
+    """The monomial whose key ``_packed`` made."""
+    z_shift = 16 * size * n
+    if size == 1:
+        e = (key & (1 << z_shift) - 1).to_bytes(2 * n, "little")
+    else:
+        width = 8 * size
+        ones = (1 << width) - 1
+        e = [key >> width * r & ones for r in range(2 * n)]
+    return tuple.__new__(PBWMonomial, (key >> z_shift, tuple(e[:n]), tuple(e[n:])))
+
+
+def _packed_term_pairs(left, right, kind: AlgebraKind, n: int) -> dict[PBWMonomial, Rational]:
+    """The summed (monomial, coefficient) terms of every left term times every right term.
+
+    Each monomial is packed into one int by ``_packed``.  An x or d field is
+    as many bytes as the sum of the two factors' largest x and d exponents
+    needs, and z stands above them all, so no exponent of the product
+    carries into another.  A left term carries a d-mask and a right term an
+    x-mask.  Where the masks do not meet (every pair in kind C) the
+    product's key is the sum of the two keys.  Each index i where they meet
+    exchanges k = min(q, p) down to 0 pairs, q = d_i on the left and p = x_i
+    on the right: the coefficient gains the factor t_k = k! C(q, k) C(p, k),
+    and the key loses k units of x_i and of d_i and gains 2k units of z
+    (kind B; none in kind A).  Each key is unpacked once, in the order the
+    terms were first met; keys whose coefficients cancel are dropped.
+    """
+    if not (left and right):
+        return {}
+    top = max([max((0, *m.xexps, *m.dexps)) for m, _ in left])
+    top += max([max((0, *m.xexps, *m.dexps)) for m, _ in right])  # bounds every x and d exponent of the product
+    size = 1 if top < 256 else (top.bit_length() + 7) // 8
+    width, exchanges = 8 * size, kind is not AlgebraKind.C
     z_step = 2 if kind is AlgebraKind.B else 0
-    for ks in itertools.product(*(range(min(q1[i], p2[i]), -1, -1) for i in cross)):
-        coeff = 1
-        x, d = list(xs), list(ds)
-        for i, k in zip(cross, ks):
-            coeff *= comb(q1[i], k) * comb(p2[i], k) * factorial(k)
-            x[i] -= k
-            d[i] -= k
-        yield tuple.__new__(PBWMonomial, (base_z + z_step * sum(ks), tuple(x), tuple(d))), coeff
+    out: dict[int, Rational] = {}
+    get = out.get
+    rights = _packed(right, size, n, False, exchanges)
+    for u, cu, dmask, qs in _packed(left, size, n, True, exchanges):
+        for v, cv, xmask, ps in rights:
+            meet = dmask & xmask
+            if not meet:
+                key = u + v
+                out[key] = get(key, 0) + cu * cv
+                continue
+            moves = None  # (key shift, exchange factor) of each choice of k, the first index outermost
+            while meet:
+                low = meet & -meet
+                meet ^= low
+                i = low.bit_length() >> 3  # the lowest index left: bit 8i
+                q, p = qs[i], ps[i]
+                step = (1 << width * i) + (1 << width * (n + i)) - (z_step << width * 2 * n)
+                factors, t = [(0, 1)], 1
+                for k in range(1, min(q, p) + 1):
+                    t = t * (q - k + 1) * (p - k + 1) // k
+                    factors.append((k * step, t))
+                factors.reverse()  # k from min(q, p) down to 0
+                moves = factors if moves is None else [(s + s2, t * t2) for s, t in moves for s2, t2 in factors]
+            key, c = u + v, cu * cv
+            for shift, t in moves:
+                w = key - shift
+                out[w] = get(w, 0) + c * t
+    return {_unpack(key, n, size): c for key, c in out.items() if c}
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Canonical product.  Bilinear and associative; unit is ``one``."""
+    """Canonical product.  Bilinear and associative; unit is ``one``.
+
+    The term pairs run through ``_packed_term_pairs``, on packed keys.
+
+    >>> from weylkit.expressions import evaluate
+    >>> str(multiply(evaluate("d1^2*d2", 2, AlgebraKind.B), evaluate("x1*x2", 2, AlgebraKind.B)))
+    'x1*x2*d1^2*d2 + z^2*x1*d1^2 + 2*z^2*x2*d1*d2 + 2*z^4*d1'
+    """
     _check_kind(a.kind)
-    return a._bilinear(b, _mul_monomials)
+    return a._bilinear(b)
 
 
 def product_size(a: AlgebraElement, b: AlgebraElement, cap: int) -> tuple[int, int]:
@@ -382,17 +467,19 @@ def basis_of_degree(kind: AlgebraKind, n: int, d: int) -> list[PBWMonomial]:
     (kind, n, d) is built once and kept in a cache of the 128 latest keys
     (``center-solve`` cycles through 54); the largest a repo caller builds,
     (B, 3, 8), has 3 003 monomials and takes about 0.62 MB.  Every call
-    returns a fresh list, which the caller may change.  A non-int n or d
-    raises TypeError, a negative one ValueError.
+    returns a fresh list, which the caller may change.  A non-int n (a bool
+    too, as ``check_pair_count`` says) or d raises TypeError, a negative one
+    ValueError.
 
     >>> [str(m) for m in basis_of_degree(AlgebraKind.B, 1, 2)]
     ['x1^2', 'x1*d1', 'd1^2', 'z*x1', 'z*d1', 'z^2']
     """
     _check_kind(kind)
-    if not (isinstance(n, int) and isinstance(d, int)):
-        raise TypeError(f"basis_of_degree needs int n and d, got {n!r} and {d!r}")
-    if n < 0 or d < 0:
-        raise ValueError("pair count and degree must be nonnegative")
+    check_pair_count(n)  # a bool is not a pair count
+    if not isinstance(d, int):
+        raise TypeError(f"basis_of_degree needs an int degree, got {d!r}")
+    if d < 0:
+        raise ValueError(f"the degree must be nonnegative, got {d}")
     return list(_graded_basis(kind, n, d))
 
 

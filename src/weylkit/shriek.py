@@ -186,6 +186,16 @@ class ShriekElement(SparseElement):
     def _times(self, other: "ShriekElement") -> "ShriekElement":
         return multiply(self, other)
 
+    def _term_pairs(self, left, right) -> dict:
+        """The summed terms of every word pair, read off ``_word_product``."""
+        kind, n, out = self.kind, self.n, {}
+        for u, cu in left:
+            for v, cv in right:
+                c = cu * cv
+                for w, k in _word_product(u, v, kind, n):
+                    out[w] = out.get(w, 0) + c * k
+        return out
+
     def _one(self) -> "ShriekElement":
         return ShriekElement.one(self.n, self.kind)
 
@@ -193,10 +203,9 @@ class ShriekElement(SparseElement):
 # -- basis enumeration ---------------------------------------------------------
 
 def _check_ints(n: int, j: int = 0) -> None:
-    if not (isinstance(n, int) and isinstance(j, int)):
-        raise TypeError(f"the pair count and degree must be ints, got {n!r} and {j!r}")
-    if n < 0:
-        raise ValueError(f"the pair count must be nonnegative, got {n}")
+    check_pair_count(n)  # a bool is not a pair count
+    if not isinstance(j, int):
+        raise TypeError(f"the degree must be an int, got {j!r}")
 
 
 def shriek_basis(n: int) -> list[ShriekWord]:
@@ -330,7 +339,7 @@ def _word_product(u: ShriekWord, v: ShriekWord, kind: AlgebraKind, n: int):
 def multiply(a: ShriekElement, b: ShriekElement) -> ShriekElement:
     """Bilinear extension of word concatenation followed by reduction."""
     _check_kind(a.kind)
-    return a._bilinear(b, _word_product)
+    return a._bilinear(b)
 
 
 def product_size(a: ShriekElement, b: ShriekElement, cap: int) -> tuple[int, int]:

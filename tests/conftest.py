@@ -119,7 +119,7 @@ def oracle_apply_automorphism(m, e):
 
 
 def oracle_mul_monomials(m1, m2, kind, n):
-    """The terms of m1*m2 with an explicit exchange vector per term: the oracle for ``pbw._mul_monomials``."""
+    """The terms of m1*m2 with an explicit exchange vector per term: the oracle for ``pbw._packed_term_pairs``."""
     q1 = m1.dexps
     p2 = m2.xexps
     cross = [] if kind is AlgebraKind.C else [i for i in range(n) if q1[i] and p2[i]]

@@ -94,9 +94,10 @@ def test_product_equals_the_per_pair_fraction_loop(kind):
         if not kind.is_shriek:
             for u in a.coeffs:
                 for v in b.coeffs:
-                    terms = list(pbw._mul_monomials(u, v, kind, a.n))
-                    assert terms == list(oracle_mul_monomials(u, v, kind, a.n))
-                    assert all(type(m) is PBWMonomial for m, _ in terms)
+                    one_u, one_v = AlgebraElement(kind, a.n, {u: 1}), AlgebraElement(kind, a.n, {v: 1})
+                    pair = pbw.multiply(one_u, one_v)
+                    _assert_same_map(pair, oracle_bilinear(one_u, one_v, oracle_mul_monomials))
+                    assert all(type(m) is PBWMonomial for m in pair.coeffs)
     assert product(*pairs[-1]).is_zero() == kind.is_shriek
 
 

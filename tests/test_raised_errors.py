@@ -16,6 +16,7 @@ from weylkit import (
     ShriekElement,
     ShriekWord,
     SizeMismatch,
+    basis_of_degree,
     dehomogenize,
     divide_by_z,
     dual_presentation,
@@ -31,6 +32,7 @@ from weylkit import (
     parse,
     relations_of,
     render,
+    shriek_basis,
     z_shift,
 )
 
@@ -93,7 +95,7 @@ _API_REFUSALS = {
     "dual-presentation-b-shriek": (lambda: dual_presentation(B_SHRIEK, 1), ValueError, "kinds B and C, not B!"),
     "gram-degree-out-of-range": (lambda: gram_matrix(1, 5), ValueError, "degree 5 out of range 0..3"),
     "gram-negative-n": (lambda: gram_matrix(-1, 0), ValueError, "pair count must be nonnegative, got -1"),
-    "gram-str-n": (lambda: gram_matrix("2", 0), TypeError, "must be ints, got '2' and 0"),
+    "gram-str-n": (lambda: gram_matrix("2", 0), TypeError, "the pair count must be an int, got '2'"),
     "nakayama-degree-two-image": (
         lambda: _nakayama_map_with("x1", "x1*d1"), ValueError, "image of x1 is not homogeneous of degree 1"
     ),
@@ -125,6 +127,10 @@ _API_REFUSALS = {
     "evaluate-negative-n": (lambda: evaluate("z", -1, B), ValueError, "pair count must be nonnegative, got -1"),
     "one-float-n": (lambda: AlgebraElement.one(B, 1.5), TypeError, "pair count must be an int, got 1.5"),
     "one-bool-n": (lambda: AlgebraElement.one(B, True), TypeError, "pair count must be an int, got True"),
+    # the graded bases took True as one pair: 3 monomials, 8 words and [[1]]
+    "basis-of-degree-bool-n": (lambda: basis_of_degree(B, True, 1), TypeError, "pair count must be an int, got True"),
+    "shriek-basis-bool-n": (lambda: shriek_basis(True), TypeError, "pair count must be an int, got True"),
+    "gram-bool-n": (lambda: gram_matrix(True, 0), TypeError, "pair count must be an int, got True"),
 }
 
 

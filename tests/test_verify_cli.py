@@ -242,11 +242,12 @@ def test_presentation_suites_catch_each_mutant(monkeypatch, mutant, failing):
     assert failed == failing
 
 
-# One-line mutants of the closed-form PBW product, patched as _MUTANTS are.
+# One-line mutants of the closed-form PBW product, patched as _MUTANTS are: the exchange
+# factor loses its k!, k stops at 1, and an exchange adds no z^2.
 _PRODUCT_MUTANTS = {
-    "mul-drops-factorial": (pbw, "_mul_monomials", " * factorial(k)", ""),
-    "mul-caps-k-at-1": (pbw, "_mul_monomials", "range(min(q1[i], p2[i]), -1, -1)", "range(min(q1[i], p2[i], 1), -1, -1)"),
-    "mul-drops-z-step": (pbw, "_mul_monomials", "z_step = 2 if kind is AlgebraKind.B else 0", "z_step = 0"),
+    "mul-drops-factorial": (pbw, "_packed_term_pairs", "(p - k + 1) // k", "(p - k + 1) // (k * k)"),
+    "mul-caps-k-at-1": (pbw, "_packed_term_pairs", "range(1, min(q, p) + 1)", "range(1, min(q, p, 1) + 1)"),
+    "mul-drops-z-step": (pbw, "_packed_term_pairs", "z_step = 2 if kind is AlgebraKind.B else 0", "z_step = 0"),
 }
 
 
@@ -810,14 +811,17 @@ def _refuse_term_pairs_of_degree(monkeypatch, degree):
     """Fails a test that multiplies a term pair of two monomials, both of ``degree``."""
     from weylkit import pbw
 
-    multiply_pair = pbw._mul_monomials
+    term_pairs = pbw._packed_term_pairs
 
-    def guarded(m1, m2, kind, n):
-        if m1.degree == m2.degree == degree:
+    def guarded(left, right, kind, n):
+        if any(u.degree == degree for u, _ in left) and any(v.degree == degree for v, _ in right):
             raise AssertionError("a term pair of the product was multiplied")
-        return multiply_pair(m1, m2, kind, n)
+        return term_pairs(left, right, kind, n)
 
-    monkeypatch.setattr(pbw, "_mul_monomials", guarded)
+    monkeypatch.setattr(pbw, "_packed_term_pairs", guarded)
+    power = pbw.AlgebraElement.monomial(AlgebraKind.B, 1, pbw.PBWMonomial(degree, (0,), (0,)))
+    with pytest.raises(AssertionError, match="term pair"):  # the guard fires on a product
+        power * power
 
 
 @pytest.fixture
